@@ -173,24 +173,21 @@ double pitch_at_point(const geom::Polyline& reference, std::span<const double> p
   return best_pitch;
 }
 
-/// Oracle verdict of one sub-trace against everything the board knows about
-/// (self rules always; containment/obstacles when the caller supplied them).
-std::vector<layout::Violation> oracle_violations(
-    const layout::Trace& t, const drc::DesignRules& rules,
-    const layout::RoutableArea* area, const layout::ObstacleSelector* obstacles) {
+/// Oracle verdict of one sub-trace against everything the board knows about:
+/// self rules always, containment when the caller supplied an area, and
+/// obstacle clearance through `obstacle_check` (a DrcChecker::check_obstacles
+/// overload bound to the caller's obstacle view) when one is given.
+template <typename ObstacleCheck>
+std::vector<layout::Violation> oracle_violations(const layout::Trace& t,
+                                                 const drc::DesignRules& rules,
+                                                 const layout::RoutableArea* area,
+                                                 const ObstacleCheck& obstacle_check) {
   const layout::DrcChecker checker;
   std::vector<layout::Violation> out = checker.check_trace(t, rules);
   const auto append = [&out](std::vector<layout::Violation> v) {
     out.insert(out.end(), v.begin(), v.end());
   };
-  if (obstacles != nullptr) {
-    // Everything obstacle clearance can reach from this candidate path; the
-    // selector falls back to the full board list when the splice escaped the
-    // tile-local coverage, so the verdict never depends on tiling.
-    const geom::Box need = t.path.bbox().inflated(
-        rules.effective_obs() + layout::DrcCheckOptions{}.tolerance + 1e-9);
-    append(checker.check_obstacles(t, rules, obstacles->select(need)));
-  }
+  append(obstacle_check(checker, t));
   if (area != nullptr && !area->outline.empty()) {
     append(checker.check_containment(t, *area));
   }
@@ -328,26 +325,13 @@ double local_restore_pitch(const geom::Polyline& reference,
                    pitch_at_point(reference, reference_pitch, seg.b)});
 }
 
-double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
-                       const layout::RoutableArea* area,
-                       const std::vector<layout::Obstacle>* obstacles) {
-  if (obstacles == nullptr) {
-    return compensate_skew(pair, sub_rules, area,
-                           static_cast<const layout::ObstacleSelector*>(nullptr));
-  }
-  std::vector<layout::ObstacleRef> refs;
-  refs.reserve(obstacles->size());
-  for (std::size_t oi = 0; oi < obstacles->size(); ++oi) {
-    refs.push_back({&(*obstacles)[oi], static_cast<std::uint32_t>(oi)});
-  }
-  // Empty coverage: every probe selects the full list — plain board checking.
-  const layout::ObstacleSelector sel{refs, refs, geom::Box{}};
-  return compensate_skew(pair, sub_rules, area, &sel);
-}
+namespace {
 
-double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
-                       const layout::RoutableArea* area,
-                       const layout::ObstacleSelector* obstacles) {
+/// compensate_skew over any obstacle view: `obstacle_check(checker, trace)`
+/// returns the trace's obstacle-clearance violations.
+template <typename ObstacleCheck>
+double compensate(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
+                  const layout::RoutableArea* area, const ObstacleCheck& obstacle_check) {
   const double lp = pair.positive.path.length();
   const double ln = pair.negative.path.length();
   const double skew = std::abs(lp - ln);
@@ -408,7 +392,7 @@ double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules
     layout::Trace candidate = shorter;
     candidate.path.splice(best, best + 1, global_pts);
     const std::vector<layout::Violation> verdicts =
-        oracle_violations(candidate, sub_rules, area, obstacles);
+        oracle_violations(candidate, sub_rules, area, obstacle_check);
     // The splice replaces one segment by global_pts.size() - 1 new ones at
     // [best, best + size - 2]; the old follower segment lands at
     // best + size - 1 and must keep its pre-existing verdicts veto-free.
@@ -429,4 +413,42 @@ double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules
   return skew;  // no host can take the pattern legally
 }
 
+}  // namespace
+
+double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
+                       const layout::RoutableArea* area,
+                       const std::vector<layout::Obstacle>* obstacles) {
+  if (obstacles == nullptr) {
+    return compensate_skew(pair, sub_rules, area,
+                           static_cast<const layout::ObstacleIndex*>(nullptr));
+  }
+  const layout::ObstacleIndex index(*obstacles);
+  return compensate_skew(pair, sub_rules, area, &index);
+}
+
+double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
+                       const layout::RoutableArea* area,
+                       const layout::ObstacleIndex* obstacles) {
+  return compensate(pair, sub_rules, area,
+                    [&](const layout::DrcChecker& checker, const layout::Trace& t) {
+                      if (obstacles == nullptr) return std::vector<layout::Violation>{};
+                      return checker.check_obstacles(t, sub_rules, *obstacles);
+                    });
+}
+
+double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
+                       const layout::RoutableArea* area,
+                       const layout::ObstacleSelector* obstacles) {
+  return compensate(pair, sub_rules, area,
+                    [&](const layout::DrcChecker& checker, const layout::Trace& t) {
+                      if (obstacles == nullptr) return std::vector<layout::Violation>{};
+                      // Everything obstacle clearance can reach from this
+                      // candidate path; the selector falls back to its full
+                      // list when the probe leaves its coverage.
+                      const geom::Box need = t.path.bbox().inflated(
+                          sub_rules.effective_obs() + layout::DrcCheckOptions{}.tolerance +
+                          1e-9);
+                      return checker.check_obstacles(t, sub_rules, obstacles->select(need));
+                    });
+}
 }  // namespace lmr::dtw

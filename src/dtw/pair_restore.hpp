@@ -122,11 +122,17 @@ double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules
                        const layout::RoutableArea* area = nullptr,
                        const std::vector<layout::Obstacle>* obstacles = nullptr);
 
-/// Tile-aware variant: obstacle clearance goes through the selector, which
-/// serves the tile-local obstacle subset when the spliced candidate stays
-/// inside the tile's coverage and transparently falls back to the full board
-/// list when the hat pokes past it — verdicts (and therefore host choice)
-/// are independent of how the board was tiled. Null behaves like the
+/// Same, with obstacle clearance through a prebuilt board index (the
+/// router's path; the overload above builds one per call). Null behaves like
+/// the obstacle-less overload.
+double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
+                       const layout::RoutableArea* area,
+                       const layout::ObstacleIndex* obstacles);
+
+/// Same, with obstacle clearance through a caller-built selector (see
+/// layout::ObstacleSelector): it serves its local subset when the spliced
+/// candidate stays inside the coverage and its full list otherwise, so
+/// verdicts match the full-list overload. Null behaves like the
 /// obstacle-less overload.
 double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
                        const layout::RoutableArea* area,

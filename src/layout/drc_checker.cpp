@@ -47,6 +47,30 @@ bool is_chamfer_stub(const geom::Polyline& path, std::size_t seg_idx) {
   return false;
 }
 
+/// The exact obstacle loop every check_obstacles overload shares:
+/// obstacle-major, then segment order; `box_of(ref)` supplies the
+/// obstacle's bbox.
+template <typename BoxOf>
+std::vector<Violation> scan_obstacles(const Trace& t, double clear, double tol,
+                                      std::span<const ObstacleRef> obstacles,
+                                      BoxOf&& box_of) {
+  std::vector<Violation> out;
+  for (const ObstacleRef& ref : obstacles) {
+    const geom::Polygon& poly = ref.obstacle->shape;
+    const geom::Box grown = box_of(ref).inflated(clear + tol);
+    for (std::size_t i = 0; i < t.path.segment_count(); ++i) {
+      const Segment s = t.path.segment(i);
+      if (!grown.intersects(s.bbox())) continue;
+      const double d = geom::dist_segment_polygon(s, poly);
+      if (d + tol < clear) {
+        out.push_back({ViolationKind::ObstacleClearance, t.id, 0, i, ref.index, d, clear,
+                       "trace too close to obstacle " + ref.obstacle->name});
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* to_string(ViolationKind k) {
@@ -114,33 +138,28 @@ std::vector<Violation> DrcChecker::check_trace(const Trace& t,
 std::vector<Violation> DrcChecker::check_obstacles(
     const Trace& t, const drc::DesignRules& rules,
     const std::vector<Obstacle>& obstacles) const {
-  std::vector<ObstacleRef> refs;
-  refs.reserve(obstacles.size());
-  for (std::size_t oi = 0; oi < obstacles.size(); ++oi) {
-    refs.push_back({&obstacles[oi], static_cast<std::uint32_t>(oi)});
-  }
-  return check_obstacles(t, rules, std::span<const ObstacleRef>(refs));
+  return check_obstacles(t, rules, ObstacleIndex(obstacles));
+}
+
+std::vector<Violation> DrcChecker::check_obstacles(const Trace& t,
+                                                   const drc::DesignRules& rules,
+                                                   const ObstacleIndex& obstacles) const {
+  // Everything the exact loop below can flag: its per-segment prefilter is
+  // the obstacle bbox grown by the clearance, so any hit has a bbox within
+  // that distance of the path bbox (the 1e-9 absorbs rounding between the
+  // two orders of inflation).
+  std::vector<ObstacleRef> near;
+  obstacles.query(t.path.bbox().inflated(rules.effective_obs() + opts_.tolerance + 1e-9),
+                  near);
+  return scan_obstacles(t, rules.effective_obs(), opts_.tolerance, near,
+                        [&](const ObstacleRef& r) { return obstacles.bbox(r.index); });
 }
 
 std::vector<Violation> DrcChecker::check_obstacles(
     const Trace& t, const drc::DesignRules& rules,
     std::span<const ObstacleRef> obstacles) const {
-  std::vector<Violation> out;
-  const double clear = rules.effective_obs();
-  for (const ObstacleRef& ref : obstacles) {
-    const geom::Polygon& poly = ref.obstacle->shape;
-    const geom::Box grown = poly.bbox().inflated(clear + opts_.tolerance);
-    for (std::size_t i = 0; i < t.path.segment_count(); ++i) {
-      const Segment s = t.path.segment(i);
-      if (!grown.intersects(s.bbox())) continue;
-      const double d = geom::dist_segment_polygon(s, poly);
-      if (d + opts_.tolerance < clear) {
-        out.push_back({ViolationKind::ObstacleClearance, t.id, 0, i, ref.index, d,
-                       clear, "trace too close to obstacle " + ref.obstacle->name});
-      }
-    }
-  }
-  return out;
+  return scan_obstacles(t, rules.effective_obs(), opts_.tolerance, obstacles,
+                        [](const ObstacleRef& r) { return r.obstacle->shape.bbox(); });
 }
 
 std::vector<Violation> DrcChecker::check_containment(const Trace& t,
@@ -186,9 +205,10 @@ std::vector<Violation> DrcChecker::check_layout(const Layout& layout,
   const auto append = [&out](std::vector<Violation> v) {
     out.insert(out.end(), v.begin(), v.end());
   };
+  const ObstacleIndex obstacles(layout.obstacles());
   for (const auto& [id, t] : layout.traces()) {
     append(check_trace(t, rules));
-    append(check_obstacles(t, rules, layout.obstacles()));
+    append(check_obstacles(t, rules, obstacles));
     if (const RoutableArea* area = layout.routable_area(id)) {
       append(check_containment(t, *area));
     }

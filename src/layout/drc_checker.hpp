@@ -33,6 +33,7 @@
 #include "drc/rules.hpp"
 #include "geom/polyline.hpp"
 #include "layout/layout.hpp"
+#include "layout/obstacle_index.hpp"
 #include "layout/routable_area.hpp"
 
 namespace lmr::layout {
@@ -60,22 +61,14 @@ struct Violation {
 
 const char* to_string(ViolationKind k);
 
-/// Original-index-preserving reference to one layout obstacle. Obstacle
-/// violations record the obstacle's position in the board's obstacle list
-/// (`Violation::index_b`), so any filtered view must carry the original
-/// index along — a subset checked through refs reports byte-identical
-/// violations to checking the full list.
-struct ObstacleRef {
-  const Obstacle* obstacle = nullptr;
-  std::uint32_t index = 0;  ///< position in the layout's obstacle list
-};
-
-/// Tile-local obstacle view with an exactness guard. `local` lists every
+/// Caller-built obstacle subset with an exactness guard. `local` lists every
 /// obstacle whose shape bbox intersects `coverage` (in ascending original
 /// index); a query whose probe box is not wholly inside `coverage` falls
 /// back to `full`. Selection therefore never changes which violations are
-/// found — only how many obstacles a check has to scan — even when routed
-/// geometry escapes the tile it was planned into.
+/// found. The router does not use it (its checks go through ObstacleIndex);
+/// it stays for callers that pick their own obstacle views, through the
+/// span overload of `check_obstacles` and the matching `compensate_skew`
+/// overload.
 struct ObstacleSelector {
   std::span<const ObstacleRef> local;
   std::span<const ObstacleRef> full;
@@ -109,13 +102,20 @@ class DrcChecker {
   [[nodiscard]] std::vector<Violation> check_trace(const Trace& t,
                                                    const drc::DesignRules& rules) const;
 
-  /// Trace vs obstacle clearances.
+  /// Trace vs obstacle clearances over a whole obstacle list (builds an
+  /// ObstacleIndex for the call).
   [[nodiscard]] std::vector<Violation> check_obstacles(
       const Trace& t, const drc::DesignRules& rules,
       const std::vector<Obstacle>& obstacles) const;
 
-  /// Same check over an index-preserving subset view (tile-local routing);
-  /// refs must be in ascending original index for identical violation order.
+  /// Same check through a prebuilt board index: only obstacles whose bbox
+  /// meets the trace's clearance reach are scanned. Byte-identical
+  /// violations (values and order) to the full-list overload.
+  [[nodiscard]] std::vector<Violation> check_obstacles(
+      const Trace& t, const drc::DesignRules& rules, const ObstacleIndex& obstacles) const;
+
+  /// Same check over an index-preserving subset view; refs must be in
+  /// ascending original index for identical violation order.
   [[nodiscard]] std::vector<Violation> check_obstacles(
       const Trace& t, const drc::DesignRules& rules,
       std::span<const ObstacleRef> obstacles) const;

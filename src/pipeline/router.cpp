@@ -32,9 +32,9 @@ struct MemberWork {
   layout::GroupMember member;
   double target = 0.0;
   const layout::RoutableArea* area = nullptr;
-  /// Obstacle view (read-only during routing) for restore validation and
-  /// the per-net oracle: tile-local subset with full-board fallback.
-  const layout::ObstacleSelector* obstacles = nullptr;
+  /// Board obstacle index (read-only during routing) for restore
+  /// validation and the per-net oracle.
+  const layout::ObstacleIndex* obstacles = nullptr;
   layout::Trace trace;    ///< single-ended members
   layout::DiffPair pair;  ///< differential members
   /// Rollback snapshots, filled by write-back *moving* the layout's
@@ -234,10 +234,8 @@ void restore_paths(layout::Layout& layout, std::vector<SavedPath>& saved) {
 
 /// Everything one group's route reads or writes, geometrically: member
 /// routable-area bboxes plus the members' current (pre-route) paths. The
-/// planner assigns a group to a tile only when this box fits wholly inside
-/// it; routed geometry normally stays inside the member areas, and when it
-/// escapes anyway the ObstacleSelector guard falls back to the full board,
-/// so tile assignment is a performance decision, never a correctness one.
+/// tile_plan diagnostic assigns a group to a tile only when this box fits
+/// wholly inside it.
 geom::Box group_reach(const layout::Layout& layout, const layout::MatchGroup& group) {
   geom::Box reach;
   for (const layout::GroupMember& m : group.members) {
@@ -316,21 +314,17 @@ std::vector<RouteResult> Router::route_all(layout::Layout& layout) const {
   return results;
 }
 
-Router::TilePlan Router::plan_tiles(const layout::Layout& layout,
-                                    const std::vector<std::size_t>& todo) const {
+Router::TilePlan Router::tile_plan(const layout::Layout& layout) const {
   TilePlan plan;
-  const std::size_t n = todo.size();
-  if (options_.tiles == 1 || n < 2) return plan;  // tiling off / trivial
-  const std::size_t target =
-      options_.tiles != 0 ? options_.tiles
-                          : std::clamp<std::size_t>(n / 4, std::size_t{1}, std::size_t{64});
+  const std::size_t n = layout.groups().size();
+  const std::size_t target = std::clamp<std::size_t>(n / 4, std::size_t{1}, std::size_t{64});
   if (target < 2) return plan;
 
   std::vector<geom::Box> reach(n);
   geom::Box board;
-  for (std::size_t k = 0; k < n; ++k) {
-    reach[k] = group_reach(layout, layout.groups()[todo[k]]);
-    board.expand(reach[k]);
+  for (std::size_t g = 0; g < n; ++g) {
+    reach[g] = group_reach(layout, layout.groups()[g]);
+    board.expand(reach[g]);
   }
   if (board.empty()) return plan;
 
@@ -369,121 +363,46 @@ Router::TilePlan Router::plan_tiles(const layout::Layout& layout,
     if (f <= 0.0) return std::size_t{0};
     return std::min(static_cast<std::size_t>(f), count - 1);
   };
-  for (std::size_t k = 0; k < n; ++k) {
-    if (reach[k].empty()) {  // nothing known about it: route with full view
-      plan.straddlers.push_back(todo[k]);
+  for (std::size_t g = 0; g < n; ++g) {
+    if (reach[g].empty()) {
+      plan.straddlers.push_back(g);
       continue;
     }
-    const std::size_t cx0 = cell_of(reach[k].lo.x, board.lo.x, step_x, tx);
-    const std::size_t cx1 = cell_of(reach[k].hi.x, board.lo.x, step_x, tx);
-    const std::size_t cy0 = cell_of(reach[k].lo.y, board.lo.y, step_y, ty);
-    const std::size_t cy1 = cell_of(reach[k].hi.y, board.lo.y, step_y, ty);
+    const std::size_t cx0 = cell_of(reach[g].lo.x, board.lo.x, step_x, tx);
+    const std::size_t cx1 = cell_of(reach[g].hi.x, board.lo.x, step_x, tx);
+    const std::size_t cy0 = cell_of(reach[g].lo.y, board.lo.y, step_y, ty);
+    const std::size_t cy1 = cell_of(reach[g].hi.y, board.lo.y, step_y, ty);
     if (cx0 == cx1 && cy0 == cy1) {
-      plan.tiles[cy0 * tx + cx0].groups.push_back(todo[k]);
+      plan.tiles[cy0 * tx + cx0].groups.push_back(g);
     } else {
-      plan.straddlers.push_back(todo[k]);
+      plan.straddlers.push_back(g);
     }
   }
 
+  const layout::ObstacleIndex obstacles(layout.obstacles());
+  std::vector<layout::ObstacleRef> near;
   for (TilePlan::Tile& tile : plan.tiles) {
     if (tile.groups.empty()) continue;
-    for (const layout::Obstacle& o : layout.obstacles()) {
-      if (o.shape.bbox().intersects(tile.coverage)) ++tile.obstacles;
-    }
+    obstacles.query(tile.coverage, near);
+    tile.obstacles = near.size();
   }
   return plan;
 }
 
-Router::TilePlan Router::tile_plan(const layout::Layout& layout) const {
-  std::vector<std::size_t> todo(layout.groups().size());
-  for (std::size_t g = 0; g < todo.size(); ++g) todo[g] = g;
-  return plan_tiles(layout, todo);
-}
-
 void Router::route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
                           std::vector<RouteResult>& results, std::size_t threads) const {
-  const std::vector<layout::Obstacle>& obs = layout.obstacles();
-  std::vector<layout::ObstacleRef> full;
-  full.reserve(obs.size());
-  for (std::size_t oi = 0; oi < obs.size(); ++oi) {
-    full.push_back({&obs[oi], static_cast<std::uint32_t>(oi)});
-  }
-  const std::span<const layout::ObstacleRef> full_span(full);
-  const layout::ObstacleSelector full_sel{full_span, full_span, geom::Box{}};
-
-  const TilePlan plan = plan_tiles(layout, todo);
-  if (plan.tiles_x * plan.tiles_y <= 1) {
-    // Untiled: the pre-sharding driver, with the whole-board view.
-    if (threads <= 1 || todo.size() <= 1) {
-      for (const std::size_t g : todo) results[g] = run(layout, g, threads, &full_sel);
-    } else {
-      // One task per group; the nested member fan-out inside run() lands on
-      // the same pool (workers push to their own deques, idle workers
-      // steal), so a board of many small groups fills every worker instead
-      // of running its groups back to back.
-      exec::parallel_for_dynamic(pool(), todo.size(), threads, [&](std::size_t k) {
-        results[todo[k]] = run(layout, todo[k], threads, &full_sel);
-      });
-    }
+  const layout::ObstacleIndex obstacles(layout.obstacles());
+  if (threads <= 1 || todo.size() <= 1) {
+    for (const std::size_t g : todo) results[g] = run(layout, g, threads, &obstacles);
     return;
   }
-
-  // Tile-local obstacle subsets, in ascending original index so filtered
-  // obstacle violations carry identical indices/order to the full list.
-  struct Shard {
-    const TilePlan::Tile* tile = nullptr;
-    std::vector<layout::ObstacleRef> refs;
-    layout::ObstacleSelector sel;
-  };
-  std::vector<Shard> shards;
-  for (const TilePlan::Tile& tile : plan.tiles) {
-    if (tile.groups.empty()) continue;
-    Shard sh;
-    sh.tile = &tile;
-    sh.refs.reserve(tile.obstacles);
-    for (const layout::ObstacleRef& ref : full) {
-      if (ref.obstacle->shape.bbox().intersects(tile.coverage)) sh.refs.push_back(ref);
-    }
-    shards.push_back(std::move(sh));
-  }
-  // Selectors wired after the shard vector is final (spans into refs).
-  for (Shard& sh : shards) sh.sel = {sh.refs, full_span, sh.tile->coverage};
-
-  // Phase A: tiles are independent fan-outs; groups within one tile nest
-  // on the same pool (workers steal across tiles, so an uneven partition
-  // still fills every worker). Results are index-addressed, so this
-  // schedule cannot change output vs the serial loop.
-  if (threads <= 1) {
-    for (const Shard& sh : shards) {
-      for (const std::size_t g : sh.tile->groups) results[g] = run(layout, g, 1, &sh.sel);
-    }
-  } else {
-    exec::parallel_for_dynamic(pool(), shards.size(), threads, [&](std::size_t si) {
-      const Shard& sh = shards[si];
-      const std::vector<std::size_t>& groups = sh.tile->groups;
-      if (groups.size() <= 1) {
-        for (const std::size_t g : groups) results[g] = run(layout, g, threads, &sh.sel);
-        return;
-      }
-      exec::parallel_for_dynamic(pool(), groups.size(), threads, [&](std::size_t k) {
-        results[groups[k]] = run(layout, groups[k], threads, &sh.sel);
-      });
-    });
-  }
-
-  // Phase B: the cross-tile stitch — groups whose reach spans tiles see the
-  // whole board, exactly like the untiled driver.
-  if (threads <= 1 || plan.straddlers.size() <= 1) {
-    for (const std::size_t g : plan.straddlers) {
-      results[g] = run(layout, g, threads, &full_sel);
-    }
-  } else {
-    exec::parallel_for_dynamic(pool(), plan.straddlers.size(), threads,
-                               [&](std::size_t k) {
-                                 results[plan.straddlers[k]] =
-                                     run(layout, plan.straddlers[k], threads, &full_sel);
-                               });
-  }
+  // One task per group; the nested member fan-out inside run() lands on the
+  // same pool (workers push to their own deques, idle workers steal), so a
+  // board of many small groups fills every worker instead of running its
+  // groups back to back.
+  exec::parallel_for_dynamic(pool(), todo.size(), threads, [&](std::size_t k) {
+    results[todo[k]] = run(layout, todo[k], threads, &obstacles);
+  });
 }
 
 exec::TaskPool& Router::pool() const {
@@ -497,7 +416,7 @@ exec::TaskPool& Router::pool() const {
 
 RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
                         std::size_t threads,
-                        const layout::ObstacleSelector* obstacles) const {
+                        const layout::ObstacleIndex* obstacles) const {
   if (group_index >= layout.groups().size()) {
     throw std::out_of_range("Router: bad group index");
   }
@@ -506,18 +425,10 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   // interleaved mutation would race. Trace-geometry write-backs are not
   // gated — they are the route's own output channel.
   const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
-  // Callers without a tile plan (route / route_batch) see the whole board.
-  std::vector<layout::ObstacleRef> own_refs;
-  layout::ObstacleSelector own_sel;
-  if (obstacles == nullptr) {
-    const std::vector<layout::Obstacle>& obs = layout.obstacles();
-    own_refs.reserve(obs.size());
-    for (std::size_t oi = 0; oi < obs.size(); ++oi) {
-      own_refs.push_back({&obs[oi], static_cast<std::uint32_t>(oi)});
-    }
-    own_sel = {own_refs, own_refs, geom::Box{}};
-    obstacles = &own_sel;
-  }
+  // route / route_batch index the board here, once per call; the
+  // multi-group drivers pass the index they built for every group.
+  std::optional<layout::ObstacleIndex> own_index;
+  if (obstacles == nullptr) obstacles = &own_index.emplace(layout.obstacles());
   const layout::MatchGroup& group = layout.groups()[group_index];
   const auto t_run = core::now();
   const bool drc = options_.run_drc;
@@ -615,12 +526,7 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     std::vector<layout::Violation>& out = net_violations[i];
     const auto check_one = [&](const layout::Trace& t, std::uint32_t slot) {
       append(out, checker.check_trace(t, w.net_rules));
-      // Everything obstacle clearance can reach from this path; outside the
-      // tile's coverage the selector falls back to the full board list, so
-      // the verdict bytes never depend on tiling.
-      const geom::Box need = t.path.bbox().inflated(
-          w.net_rules.effective_obs() + options_.drc.tolerance + 1e-9);
-      append(out, checker.check_obstacles(t, w.net_rules, w.obstacles->select(need)));
+      append(out, checker.check_obstacles(t, w.net_rules, *w.obstacles));
       append(out, checker.check_containment(t, *w.area));
       index.insert(slot, t);
     };
@@ -803,8 +709,8 @@ double Router::interaction_radius(const layout::Layout& layout) const {
   // extension (obstacles enter routing only through area holes and
   // proximity checks), its per-net oracle verdicts (gap / obstacle
   // clearances top out at effective_gap / effective_obs for the widest
-  // trace) or its cross-member sweep. Used both by the reroute delta proof
-  // and to size tile coverage.
+  // trace) or its cross-member sweep. Used by the reroute delta proof (and
+  // by the tile_plan diagnostic).
   double w_max = rules_.trace_width;
   for (const auto& [id, t] : layout.traces()) {
     (void)id;
@@ -963,9 +869,8 @@ BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior,
       }
     }
 
-    // Re-run only the affected groups, with route_all's executor and tiling
-    // discipline; untouched groups keep their spliced prior results
-    // verbatim.
+    // Re-run only the affected groups on route_all's executor; untouched
+    // groups keep their spliced prior results verbatim.
     route_groups(layout, next.rerouted_groups, next.results,
                  exec::resolve_threads(options_.threads));
   } catch (...) {

@@ -26,6 +26,11 @@
 /// they are independent), and every report, violation list and index slot
 /// is written at its member-order index, so the outcome — including
 /// violation order — is independent of scheduling.
+///
+/// Obstacle clearance (the per-net DRC stage and the skew-compensation
+/// oracle) goes through one layout::ObstacleIndex per call — built once per
+/// route()/route_batch() and once per route_all()/reroute() for all their
+/// groups — so a check scans the obstacles near its trace, not the board.
 
 #include <cstddef>
 #include <cstdint>
@@ -141,13 +146,6 @@ struct RouterOptions {
   /// segment grid once an index holds ClearanceIndex::kGridAutoSlots slots.
   /// Both backends are bit-identical in output; this only moves time.
   layout::ClearanceBackend clearance_backend = layout::ClearanceBackend::Auto;
-  /// Spatial tile sharding for route_all / reroute: 0 = auto (tile count
-  /// derived from group count, split along the board's long axis), 1 = off,
-  /// >= 2 = force that many tiles. Tiles route as independent task fan-outs
-  /// with tile-local obstacle subsets; groups whose reach straddles a tile
-  /// boundary run in a final cross-tile pass against the full board. Output
-  /// is bit-identical for every tile count (see layout::ObstacleSelector).
-  std::size_t tiles = 0;
 };
 
 /// Per-net diagnostics: the matching report plus this net's oracle verdict.
@@ -284,16 +282,18 @@ class Router {
   [[nodiscard]] const drc::DesignRules& rules() const { return rules_; }
   [[nodiscard]] const RouterOptions& options() const { return options_; }
 
-  /// The spatial partition route_all/reroute would shard this board's
-  /// groups into, exposed for tests and diagnostics. A trivial plan
-  /// (tiles_x * tiles_y == 1) means tiling is off for this board — too few
-  /// groups, `RouterOptions::tiles == 1`, or a degenerate extent.
+  /// A spatial partition of this board's groups, for diagnostics only: the
+  /// router does not shard by it (every obstacle check goes through one
+  /// board-wide layout::ObstacleIndex). The tile count is derived from the
+  /// group count (n / 4, clamped to [1, 64]) and split along the board's
+  /// long axis first. A trivial plan (tiles_x * tiles_y == 1) means too few
+  /// groups or a degenerate extent.
   struct TilePlan {
     struct Tile {
       geom::Box box;       ///< partition cell
       geom::Box coverage;  ///< box inflated by the interaction radius
       /// Groups whose reach (member areas + current paths) lies wholly in
-      /// this tile; they route against the tile-local obstacle subset.
+      /// this tile.
       std::vector<std::size_t> groups;
       /// Size of that subset (obstacles whose bbox intersects coverage).
       std::size_t obstacles = 0;
@@ -301,8 +301,7 @@ class Router {
     std::size_t tiles_x = 1;
     std::size_t tiles_y = 1;
     std::vector<Tile> tiles;  ///< row-major, tiles_x * tiles_y (empty if trivial)
-    /// Groups spanning more than one tile: routed in the final cross-tile
-    /// pass against the full board obstacle list.
+    /// Groups whose reach spans more than one tile.
     std::vector<std::size_t> straddlers;
   };
   [[nodiscard]] TilePlan tile_plan(const layout::Layout& layout) const;
@@ -312,19 +311,19 @@ class Router {
   [[nodiscard]] exec::TaskPool& pool() const;
 
  private:
+  /// One group's route. `obstacles` indexes `layout.obstacles()`; null
+  /// builds an index for this call.
   RouteResult run(layout::Layout& layout, std::size_t group_index,
                   std::size_t threads,
-                  const layout::ObstacleSelector* obstacles = nullptr) const;
-  /// Shared tiled driver behind route_all/reroute: shard `todo` into tiles,
-  /// route tile-local fan-outs, then the cross-tile straddler pass. Writes
-  /// results[g] for every g in todo (index-addressed — scheduling cannot
-  /// change output).
+                  const layout::ObstacleIndex* obstacles = nullptr) const;
+  /// Group fan-out behind route_all/reroute: index the board's obstacles
+  /// once, then run every group of `todo` on the executor. Writes results[g]
+  /// for every g in todo (index-addressed — scheduling cannot change
+  /// output).
   void route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
                     std::vector<RouteResult>& results, std::size_t threads) const;
-  [[nodiscard]] TilePlan plan_tiles(const layout::Layout& layout,
-                                    const std::vector<std::size_t>& todo) const;
   /// Worst-case distance at which anything on the board can still influence
-  /// a route (see affected_groups; also sizes tile coverage).
+  /// a route (see affected_groups; also sizes tile_plan coverage).
   [[nodiscard]] double interaction_radius(const layout::Layout& layout) const;
 
   drc::DesignRules rules_;

@@ -162,13 +162,13 @@ Family mega_board(bool smoke) {
   f.name = "mega_board";
   f.description =
       "backplane-scale board: 1k+ nets across many groups in a dense via "
-      "field (tile-sharding + grid-broadphase workload)";
+      "field (obstacle-index + grid-broadphase workload)";
   // 16 groups x 64 members = 1024 nets (full). 64 members puts each
   // per-group clearance index exactly at ClearanceIndex::kGridAutoSlots, so
-  // the mega rows exercise the grid backend end to end; 16 groups gives the
-  // auto tile planner a 4-tile split. A modest target fraction keeps the
-  // per-member extension cheap — this family scales breadth, not meander
-  // depth. The band is taller than the default 5.0: with a low target
+  // the mega rows exercise the grid backend end to end; 12 vias per
+  // member band make 12k obstacles for the board obstacle index. A modest
+  // target fraction keeps the per-member extension cheap — this family
+  // scales breadth, not meander depth. The band is taller than the default 5.0: with a low target
   // fraction most members start straight, and in a 5-tall band the straight
   // path's via keep-out (~1.9 each side) covers the whole placement window —
   // 7.0 leaves free strips above and below so the via field actually gets
