@@ -3,11 +3,12 @@
 /// §IV-D (O(N log N) build, O(log^2 N + k) window queries — Alg. 2's
 /// P_check accelerator) and the uniform segment grid (O(1) insert/remove,
 /// O(cells + k) window visits) that replaces it on dense boards. The
-/// backend-captured ClearanceSweep trio is the head-to-head: the same board
-/// swept cold / warm / one-dirty under each forced backend.
+/// backend-captured ClearanceSweep rows are the head-to-head: the same board
+/// swept cold / warm / one-dirty / dirty-run under each forced backend.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
 #include "index/range_tree.hpp"
@@ -111,11 +112,12 @@ BENCHMARK(BM_SegGridQuerySmallWindow)
     ->Complexity();
 
 /// ClearanceIndex sweep cache: a board of parallel traces, swept repeatedly
-/// under a forced broadphase backend. Three regimes — cold (every sweep
+/// under a forced broadphase backend. Regimes — cold (every sweep
 /// re-indexes everything, the pre-cache behaviour), warm (nothing changed;
-/// cached violations returned verbatim), and one-dirty (a single trace
-/// re-inserted per sweep; the tree rebuilds one overlay, the grid re-registers
-/// one slot's segments). The 16/256/4096 sizes bracket the Auto flip point
+/// cached violations returned verbatim), one-dirty (a single trace
+/// re-inserted per sweep; the tree rebuilds one overlay and re-queries every
+/// slot, the grid re-registers and re-queries only that slot's segments) and
+/// dirty-run (below). The 16/256/4096 sizes bracket the Auto flip point
 /// (ClearanceIndex::kGridAutoSlots = 64).
 struct SweepFixture {
   lmr::drc::DesignRules rules;
@@ -202,6 +204,35 @@ BENCHMARK_CAPTURE(BM_ClearanceSweepOneDirty, tree,
     ->Range(16, 4096)
     ->Complexity();
 BENCHMARK_CAPTURE(BM_ClearanceSweepOneDirty, grid, lmr::layout::ClearanceBackend::Grid)
+    ->RangeMultiplier(16)
+    ->Range(16, 4096)
+    ->Complexity();
+
+/// The mega edit's shape: one re-routed group is a contiguous run of n/16
+/// slots mid-board, re-inserted before every sweep. Unlike OneDirty (slot 0,
+/// whose pairs all sit above it), the run has clean slots below it, so the
+/// grid re-sweep must also take hits from lower slots.
+void BM_ClearanceSweepDirtyRun(benchmark::State& state,
+                               lmr::layout::ClearanceBackend backend) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+  auto index = fx.make_index();
+  benchmark::DoNotOptimize(index.sweep().size());
+  const std::size_t run = std::max<std::size_t>(1, fx.traces.size() / 16);
+  const std::size_t first = (fx.traces.size() - run) / 2;
+  for (auto _ : state) {
+    for (std::size_t i = first; i < first + run; ++i) {
+      index.insert(static_cast<std::uint32_t>(i), fx.traces[i]);
+    }
+    benchmark::DoNotOptimize(index.sweep().size());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK_CAPTURE(BM_ClearanceSweepDirtyRun, tree,
+                  lmr::layout::ClearanceBackend::RangeTree)
+    ->RangeMultiplier(16)
+    ->Range(16, 4096)
+    ->Complexity();
+BENCHMARK_CAPTURE(BM_ClearanceSweepDirtyRun, grid, lmr::layout::ClearanceBackend::Grid)
     ->RangeMultiplier(16)
     ->Range(16, 4096)
     ->Complexity();

@@ -9,9 +9,10 @@
 namespace lmr::index {
 namespace {
 
-/// Above this many bbox cells the segment is registered by walking along it
-/// instead of enumerating the whole (mostly empty) bounding box — a long
-/// diagonal's bbox is quadratic in its length, the walk is linear.
+/// Above this many bbox cells a segment whose bbox is more than three cells
+/// across is registered by walking along it instead of enumerating the whole
+/// (mostly empty) bounding box — a long diagonal's bbox is quadratic in its
+/// length, the walk is linear.
 constexpr std::uint64_t kBboxCellCap = 64;
 
 }  // namespace
@@ -41,7 +42,10 @@ void SegGrid::covered_cells(const geom::Segment& seg, std::vector<std::uint64_t>
   const std::int64_t y1 = coord(bb.hi.y);
   const std::uint64_t nx = static_cast<std::uint64_t>(x1 - x0 + 1);
   const std::uint64_t ny = static_cast<std::uint64_t>(y1 - y0 + 1);
-  if (nx * ny <= kBboxCellCap) {
+  // A bbox at most three cells across is never larger than the walk's
+  // three-cell band along the same run (and needs no sort): long
+  // axis-aligned traces register exactly the cells they cross.
+  if (nx * ny <= kBboxCellCap || std::min(nx, ny) <= 3) {
     out.reserve(nx * ny);
     for (std::int64_t cy = y0; cy <= y1; ++cy) {
       for (std::int64_t cx = x0; cx <= x1; ++cx) out.push_back(key(cx, cy));

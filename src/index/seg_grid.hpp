@@ -4,8 +4,8 @@
 /// backend and the scenario generator's placement-legality scan.
 ///
 /// A hash grid over square cells. Each entry is a segment plus a caller
-/// payload; an entry is registered in every cell its bounding box (short
-/// spans) or a conservative walk along the segment (long diagonals) touches,
+/// payload; an entry is registered in every cell its bounding box (short or
+/// thin spans) or a conservative walk along the segment (long diagonals) touches,
 /// so a window query visits a *superset* of the entries that intersect the
 /// window. Callers re-check candidates exactly — the grid only promises it
 /// never misses an entry with a point inside the query box.

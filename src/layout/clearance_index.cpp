@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/contract.hpp"
 #include "geom/distance.hpp"
@@ -189,6 +190,9 @@ std::vector<Violation> ClearanceIndex::sweep() const {
   // result_epochs_ just means new slots arrived since).
   LMR_ASSERT(result_epochs_.empty() || result_epochs_.size() <= slot_epoch_.size(),
              "result epochs never outnumber declared slots");
+  LMR_ASSERT(result_pairs_.size() == result_.size() &&
+                 std::is_sorted(result_pairs_.begin(), result_pairs_.end()),
+             "cached pair keys are parallel to the violations and non-decreasing");
   // Nothing changed since the last sweep: the cached violations are exact.
   if (slot_epoch_ == result_epochs_) return result_;
 
@@ -196,6 +200,7 @@ std::vector<Violation> ClearanceIndex::sweep() const {
   for (const Slot& s : slots_) inserted += s.trace != nullptr ? 1 : 0;
   if (inserted < 2) {
     result_.clear();
+    result_pairs_.clear();
     result_epochs_ = slot_epoch_;
     return result_;
   }
@@ -207,12 +212,41 @@ std::vector<Violation> ClearanceIndex::sweep() const {
     refresh_cache();
   }
 
+  // A slot is dirty when it changed since the cached result or was declared
+  // after it. The grid path re-queries only dirty slots and keeps every
+  // cached violation between two clean slots (their geometry, and so the
+  // exact check, is unchanged); the tree path re-queries everything, so
+  // there every slot counts as dirty.
+  const std::size_t n = slots_.size();
+  std::vector<char> dirty(n, 1);
+  if (grid) {
+    for (std::uint32_t t = 0; t < result_epochs_.size(); ++t) {
+      dirty[t] = slot_epoch_[t] != result_epochs_[t] ? 1 : 0;
+    }
+  }
+  std::vector<Violation> kept;
+  std::vector<std::uint64_t> kept_pairs;
+  for (std::size_t i = 0; i < result_.size(); ++i) {
+    const std::uint64_t key = result_pairs_[i];
+    if (dirty[key >> 32] == 0 && dirty[key & 0xffffffffu] == 0) {
+      kept.push_back(std::move(result_[i]));
+      kept_pairs.push_back(key);
+    }
+  }
+  LMR_ASSERT(std::all_of(kept_pairs.begin(), kept_pairs.end(),
+                         [&](std::uint64_t key) {
+                           const auto a = static_cast<std::uint32_t>(key >> 32);
+                           const auto b = static_cast<std::uint32_t>(key);
+                           return a < b && dirty[a] == 0 && dirty[b] == 0 &&
+                                  slots_[a].trace != nullptr &&
+                                  slots_[b].trace != nullptr;
+                         }),
+             "every kept violation joins two clean, inserted slots");
+
   const double gap_max = rules_.gap + max_width_;
 
-  // Collect candidate pairs: each segment window-queries the main tree and
-  // every higher-slot overlay; the pair is keyed on the lower slot index so
-  // it is found exactly once. Main-tree entries of stale slots are skipped
-  // — their overlay (current geometry) answers for them instead.
+  // Collect candidate pairs, keyed (lower slot, higher slot, its segment,
+  // the other segment).
   struct Candidate {
     std::uint32_t slot_a, slot_b, seg_a, seg_b;
     bool operator<(const Candidate& o) const {
@@ -231,28 +265,45 @@ std::vector<Violation> ClearanceIndex::sweep() const {
     // The grid stores whole segments, so the window needs no pitch slack:
     // if two segments are closer than gap (<= gap_max), the other segment
     // itself has a point inside this one's bbox inflated by gap_max.
+    //
+    // Only dirty slots query. Dirty slot t owns its pairs with every higher
+    // slot and with every clean lower slot (a dirty lower slot found the
+    // pair from its own side). While every slot below t is dirty, the
+    // payload floor prunes the lower slots wholesale; otherwise t takes
+    // every hit and filters — with all slots dirty this is the full sweep.
     const double inflate = gap_max + opts_.tolerance + 1e-9;
-    for (std::uint32_t t = 0; t < slots_.size(); ++t) {
+    bool all_dirty_below = true;
+    for (std::uint32_t t = 0; t < n; ++t) {
+      if (dirty[t] == 0) {
+        all_dirty_below = false;
+        continue;
+      }
       const Slot& s = slots_[t];
       if (s.trace == nullptr) continue;
       const geom::Polyline& path = s.trace->path;
-      const std::uint64_t floor = (static_cast<std::uint64_t>(t) + 1) << 32;
+      const std::uint64_t floor =
+          all_dirty_below ? (static_cast<std::uint64_t>(t) + 1) << 32 : 0;
       for (std::uint32_t seg_idx = 0; seg_idx < path.segment_count(); ++seg_idx) {
         const geom::Box window = path.segment(seg_idx).bbox().inflated(inflate);
         grid_.visit_above(window, floor, [&](const index::SegGrid::Entry& e) {
-          // payload floor already guarantees other.slot > t.
-          const auto slot_b = static_cast<std::uint32_t>(e.payload >> 32);
-          if (slots_[slot_b].net == s.net) return true;
-          candidates.push_back(
-              {t, slot_b, seg_idx, static_cast<std::uint32_t>(e.payload & 0xffffffffu)});
+          const auto u = static_cast<std::uint32_t>(e.payload >> 32);
+          const auto seg_u = static_cast<std::uint32_t>(e.payload & 0xffffffffu);
+          if (u == t || (u < t && dirty[u] != 0)) return true;
+          if (slots_[u].net == s.net) return true;
+          candidates.push_back(u > t ? Candidate{t, u, seg_idx, seg_u}
+                                     : Candidate{u, t, seg_u, seg_idx});
           return true;
         });
       }
     }
   } else {
+    // Each segment window-queries the main tree and every higher-slot
+    // overlay; the lower slot owns the pair, so it is found exactly once.
+    // Main-tree entries of stale slots are skipped — their overlay (current
+    // geometry) answers for them instead.
     const double pitch = std::max(gap_max, rules_.protect);
     const double inflate = gap_max + pitch / 2.0 + opts_.tolerance + 1e-9;
-    for (std::uint32_t t = 0; t < slots_.size(); ++t) {
+    for (std::uint32_t t = 0; t < n; ++t) {
       const Slot& s = slots_[t];
       if (s.trace == nullptr) continue;
       const geom::Polyline& path = s.trace->path;
@@ -282,8 +333,18 @@ std::vector<Violation> ClearanceIndex::sweep() const {
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
 
   // Exact checks in the naive loop's order (candidates are sorted by
-  // (slot_a, slot_b, seg_a, seg_b), which is that order).
+  // (slot_a, slot_b, seg_a, seg_b), which is that order), merged with the
+  // kept violations by slot pair. The two sets never share a pair (every
+  // fresh pair touches a dirty slot), so the merge keeps that order.
   std::vector<Violation> out;
+  std::vector<std::uint64_t> out_pairs;
+  std::size_t k = 0;
+  const auto emit_kept_below = [&](std::uint64_t key) {
+    for (; k < kept.size() && kept_pairs[k] < key; ++k) {
+      out.push_back(std::move(kept[k]));
+      out_pairs.push_back(kept_pairs[k]);
+    }
+  };
   for (const Candidate& c : candidates) {
     const Trace& a = *slots_[c.slot_a].trace;
     const Trace& b = *slots_[c.slot_b].trace;
@@ -291,12 +352,21 @@ std::vector<Violation> ClearanceIndex::sweep() const {
     const double d =
         geom::dist_segment_segment(a.path.segment(c.seg_a), b.path.segment(c.seg_b));
     if (d + opts_.tolerance < gap) {
+      const std::uint64_t key = (static_cast<std::uint64_t>(c.slot_a) << 32) | c.slot_b;
+      emit_kept_below(key);
       out.push_back({ViolationKind::TraceGap, a.id, b.id, c.seg_a, c.seg_b, d, gap,
                      "segments of different traces closer than gap"});
+      out_pairs.push_back(key);
     }
   }
+  emit_kept_below(std::numeric_limits<std::uint64_t>::max());  // no pair keys this high
   result_ = std::move(out);
+  result_pairs_ = std::move(out_pairs);
   result_epochs_ = slot_epoch_;
+  LMR_ASSERT(result_pairs_.size() == result_.size() &&
+                 std::is_sorted(result_pairs_.begin(), result_pairs_.end()),
+             "merged pair keys stay parallel and non-decreasing");
+  LMR_ASSERT(result_epochs_ == slot_epoch_, "the result is current after a sweep");
   return result_;
 }
 

@@ -21,12 +21,17 @@
 ///     be re-`insert`ed — the edit-session path re-indexes only the traces
 ///     an edit touched.
 ///  3. `sweep()`   — the only remaining barrier: run the window-query /
-///     exact-check pass. The assembled range tree and the resulting
-///     violations are cached across calls; a sweep after a small edit
-///     rebuilds only per-dirty-slot overlay trees (falling back to a full
-///     rebuild once a quarter of the slots have gone dirty), and a sweep
-///     with no intervening insert/remove returns the cached violations
-///     without touching the tree at all. `sweep()` must not race with
+///     exact-check pass. The broadphase and the violations (keyed by slot
+///     pair) are cached across calls, and a sweep with no intervening
+///     insert/remove returns the cached violations untouched. A slot is
+///     dirty when it was inserted or removed since the cached result, or
+///     declared after it. After an edit the range tree rebuilds only
+///     per-dirty-slot overlay trees (a full rebuild once a quarter of the
+///     slots are dirty) but re-queries every slot. The grid re-registers
+///     only the dirty slots, keeps every cached violation between two clean
+///     slots and window-queries only the dirty slots' segments, so its
+///     re-sweep scales with the dirty slots, not the board; with every slot
+///     dirty it is the full sweep. `sweep()` must not race with
 ///     `insert`/`remove` or another `sweep` on the same index — it is the
 ///     barrier, exactly as before.
 ///
@@ -53,11 +58,13 @@ namespace lmr::layout {
 /// Both backends feed the same sorted/unique/exact-check funnel, so they
 /// produce bit-identical violations; they differ only in how candidates are
 /// found. `RangeTree` samples every trace into one range tree (cheap per
-/// query on small boards, O(n log n) rebuilds). `Grid` drops whole segments
-/// into a uniform segment-collider grid (no sampling at all — insert is
-/// O(1), updates are in-place per slot) and wins once boards carry hundreds
-/// of slots. `Auto` picks per index: grid when the index has declared at
-/// least `ClearanceIndex::kGridAutoSlots` slots, range tree below that.
+/// query on small boards, O(n log n) rebuilds, and every sweep after an
+/// edit re-queries every slot). `Grid` drops whole segments into a uniform
+/// segment-collider grid (no sampling at all — insert is O(1), updates are
+/// in-place per slot, and a sweep after an edit re-queries only the dirty
+/// slots) and wins once boards carry hundreds of slots. `Auto` picks per
+/// index: grid when the index has declared at least
+/// `ClearanceIndex::kGridAutoSlots` slots, range tree below that.
 enum class ClearanceBackend : std::uint8_t { Auto, RangeTree, Grid };
 
 /// The incremental form of the cross-net clearance sweep. Not copyable (the
@@ -180,6 +187,8 @@ class ClearanceIndex {
   mutable std::vector<std::vector<std::uint32_t>> grid_ids_;  ///< per slot: entry ids
   mutable std::vector<std::uint64_t> grid_built_epoch_;       ///< per slot, at build
   mutable std::vector<Violation> result_;              ///< last sweep's output
+  /// Parallel to result_: (slot_a << 32) | slot_b of each violation.
+  mutable std::vector<std::uint64_t> result_pairs_;
   mutable std::vector<std::uint64_t> result_epochs_;   ///< epochs it was valid at
 };
 

@@ -118,6 +118,31 @@ TEST(SegGrid, LongDiagonalNeverMissedAlongItsRun) {
   }
 }
 
+TEST(SegGrid, LongAxisAlignedRunRegistersOnlyItsRow) {
+  // Hundreds of cells long but one cell thin: registered by its bbox, so
+  // every window on the run reports it and a window in the next row of
+  // cells does not (the sampled walk would have claimed that row too).
+  SegGrid grid(1.0);
+  const Segment run{{0.5, 10.5}, {400.5, 10.5}};
+  grid.insert(run, 3);
+  grid.insert({{0.5, 20.5}, {0.5, 20.5}}, 4);  // stretch the extent upwards
+  for (int x = 0; x <= 400; ++x) {
+    const Point p{0.5 + x, 10.5};
+    bool found = false;
+    grid.visit(Box{p, p}.inflated(0.25), [&](const SegGrid::Entry& e) {
+      found = e.payload == 3;
+      return !found;
+    });
+    EXPECT_TRUE(found) << "missed at x=" << p.x;
+    std::size_t next_row = 0;
+    grid.visit(Box{{p.x, 11.6}, {p.x, 11.9}}, [&](const SegGrid::Entry& e) {
+      next_row += e.payload == 3 ? 1 : 0;
+      return true;
+    });
+    EXPECT_EQ(next_row, 0u) << "registered outside its row at x=" << p.x;
+  }
+}
+
 TEST(SegGrid, RemoveForgetsAndIdsRecycle) {
   SegGrid grid(2.0);
   const std::uint32_t a = grid.insert({{0, 0}, {5, 0}}, 1);

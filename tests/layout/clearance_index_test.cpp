@@ -3,22 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "exec/task_pool.hpp"
+#include "geom/distance.hpp"
 #include "layout/clearance_sweep.hpp"
 #include "scenario/scenario_generator.hpp"
 
 namespace lmr::layout {
 namespace {
 
-using ViolationKey = std::tuple<TraceId, TraceId, std::size_t, std::size_t, double>;
+using ViolationKey =
+    std::tuple<TraceId, TraceId, std::size_t, std::size_t, double, double>;
 
 std::vector<ViolationKey> keys(const std::vector<Violation>& vs) {
   std::vector<ViolationKey> out;
   for (const Violation& v : vs) {
-    out.emplace_back(v.trace, v.other_trace, v.index_a, v.index_b, v.measured);
+    out.emplace_back(v.trace, v.other_trace, v.index_a, v.index_b, v.measured,
+                     v.required);
   }
   return out;  // NOT sorted: the index's output order is part of its contract
 }
@@ -43,14 +48,15 @@ struct DenseBoard {
   drc::DesignRules rules;
 };
 
-DenseBoard dense_board(std::uint64_t seed) {
+DenseBoard dense_board(std::uint64_t seed, int groups = 2, int members = 5,
+                       double corridor_length = 80.0, int vias_per_band = 6) {
   scenario::ScenarioSpec spec;
   spec.name = "test/clearance_index";
-  spec.groups = 2;
-  spec.members_per_group = 5;
-  spec.corridor_length = 80.0;
+  spec.groups = groups;
+  spec.members_per_group = members;
+  spec.corridor_length = corridor_length;
   spec.band_height = 3.2;
-  spec.vias_per_band = 6;
+  spec.vias_per_band = vias_per_band;
   spec.rules = test_rules();
   DenseBoard b{scenario::ScenarioGenerator(spec).generate(seed), {}, test_rules()};
   b.rules.gap = 4.0;  // > band spacing: neighbouring members violate
@@ -236,6 +242,178 @@ TEST(ClearanceIndex, MoveLeavesMovedFromEmptyAndReusable) {
   ClearanceIndex assigned(b.rules);
   assigned = std::move(moved);
   EXPECT_EQ(keys(assigned.sweep()), reference);
+}
+
+/// Differential harness for the incremental sweep: drives one index through
+/// seeded churn and, after every step, checks it against the naive O(n^2)
+/// definition of the sweep — every pair of inserted slots on different nets,
+/// every segment pair, in slot order — written out here rather than borrowed
+/// from a sibling backend.
+class ChurnHarness {
+ public:
+  ChurnHarness(DenseBoard board, ClearanceBackend backend)
+      : b_(std::move(board)), index_(b_.rules, {}, backend), moved_(b_.traces.size()) {}
+
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(b_.traces.size());
+  }
+  [[nodiscard]] const ClearanceIndex& index() const { return index_; }
+
+  void declare(std::uint32_t slot) {
+    ASSERT_EQ(index_.add_slot(b_.traces[slot].trace->width, b_.traces[slot].net), slot);
+    live_.push_back(nullptr);
+  }
+  void restore(std::uint32_t slot) {
+    index_.insert(slot, *b_.traces[slot].trace);
+    live_[slot] = b_.traces[slot].trace;
+  }
+  /// Re-insert `slot` as its original geometry shifted by (dx, dy).
+  void shift(std::uint32_t slot, double dx, double dy) {
+    moved_[slot] = *b_.traces[slot].trace;
+    for (geom::Point& p : moved_[slot].path.points()) p += {dx, dy};
+    index_.insert(slot, moved_[slot]);
+    live_[slot] = &moved_[slot];
+  }
+  void remove(std::uint32_t slot) {
+    index_.remove(slot);
+    live_[slot] = nullptr;
+  }
+
+  /// True when the live traces of slots `a` and `b` violate each other.
+  [[nodiscard]] bool violate(std::uint32_t a, std::uint32_t b) const {
+    return !naive({a, b}).empty();
+  }
+
+  /// Sweep twice (the second is served from the cache) and diff both
+  /// against the naive reference.
+  void check(const std::string& step) const {
+    std::vector<std::uint32_t> all(live_.size());
+    for (std::uint32_t t = 0; t < all.size(); ++t) all[t] = t;
+    const auto reference = naive(all);
+    ASSERT_EQ(keys(index_.sweep()), reference) << step;
+    ASSERT_EQ(keys(index_.sweep()), reference) << step << " (cached)";
+  }
+
+ private:
+  [[nodiscard]] std::vector<ViolationKey> naive(
+      const std::vector<std::uint32_t>& slots) const {
+    const double tol = DrcCheckOptions{}.tolerance;
+    std::vector<ViolationKey> out;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      for (std::size_t j = i + 1; j < slots.size(); ++j) {
+        const Trace* a = live_[slots[i]];
+        const Trace* c = live_[slots[j]];
+        if (a == nullptr || c == nullptr) continue;
+        if (b_.traces[slots[i]].net == b_.traces[slots[j]].net) continue;
+        const double gap = b_.rules.gap + (a->width + c->width) / 2.0;
+        for (std::size_t sa = 0; sa < a->path.segment_count(); ++sa) {
+          for (std::size_t sc = 0; sc < c->path.segment_count(); ++sc) {
+            const double d =
+                geom::dist_segment_segment(a->path.segment(sa), c->path.segment(sc));
+            if (d + tol < gap) out.emplace_back(a->id, c->id, sa, sc, d, gap);
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  DenseBoard b_;
+  ClearanceIndex index_;
+  std::vector<Trace> moved_;         ///< per slot: its current shifted copy
+  std::vector<const Trace*> live_;   ///< per slot: inserted geometry or null
+};
+
+void run_churn(ClearanceBackend backend) {
+  // 72 slots: the first sweep runs over 60 declared slots (below the Auto
+  // threshold, so Auto starts on the range tree), the rest are declared
+  // after it and flip Auto to the grid with a tree-built cache in hand.
+  // Short corridors keep the naive reference's segment pairs affordable.
+  ChurnHarness h(dense_board(4, 9, 8, 30.0, 2), backend);
+  const std::uint32_t n = h.size();
+  ASSERT_GE(n, 64u);
+  const std::uint32_t first = 60;
+  for (std::uint32_t t = 0; t < first; ++t) h.declare(t);
+  for (std::uint32_t t = 0; t < first; ++t) h.restore(t);
+  h.check("first sweep");
+  for (std::uint32_t t = first; t < n; ++t) h.declare(t);
+  for (std::uint32_t t = first; t < n; ++t) h.restore(t);
+  EXPECT_EQ(h.index().backend(), ClearanceBackend::Grid);
+  h.check("slots declared after the first sweep");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  for (const std::uint32_t t : {0u, n / 2, n - 1}) {
+    h.shift(t, 0.0, 0.3);
+    h.check("one dirty slot " + std::to_string(t));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  // A mega edit's shape: one contiguous run of n/16 slots mid-board.
+  for (std::uint32_t t = n / 2 - n / 32; t < n / 2 + n / 32; ++t) h.shift(t, 0.2, -0.25);
+  h.check("contiguous dirty run");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Two adjacent slots that violate each other, both dirty.
+  std::uint32_t adj = n;
+  for (std::uint32_t t = n / 3; t + 1 < n && adj == n; ++t) {
+    if (h.violate(t, t + 1)) adj = t;
+  }
+  ASSERT_LT(adj, n) << "want an adjacent violating pair";
+  h.shift(adj, 0.0, 0.1);
+  h.shift(adj + 1, 0.0, -0.1);
+  ASSERT_TRUE(h.violate(adj, adj + 1));
+  h.check("adjacent violating dirty pair");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const std::uint32_t victim = n / 4;
+  h.remove(victim);
+  h.check("remove");
+  h.restore(victim);
+  h.check("reinsert");
+  h.shift(victim, -0.3, 0.4);
+  h.check("geometry replace");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  std::mt19937 rng(13);
+  const auto pick = [&](std::uint32_t bound) {
+    return static_cast<std::uint32_t>(rng() % bound);
+  };
+  const auto offset = [&] { return (static_cast<double>(pick(13)) - 6.0) * 0.1; };
+  for (int step = 0; step < 40; ++step) {
+    switch (pick(5)) {
+      case 0:
+        h.shift(pick(n), offset(), offset());
+        break;
+      case 1:
+        h.remove(pick(n));
+        break;
+      case 2:
+        h.restore(pick(n));
+        break;
+      case 3: {
+        const std::uint32_t len = 2 + pick(7);
+        const std::uint32_t start = pick(n - len);
+        for (std::uint32_t t = start; t < start + len; ++t) h.shift(t, offset(), offset());
+        break;
+      }
+      default: {  // scattered: every third slot from a random phase
+        for (std::uint32_t t = pick(3); t < n; t += 3) h.restore(t);
+      }
+    }
+    h.check("churn step " + std::to_string(step));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  for (std::uint32_t t = 0; t < n; ++t) h.shift(t, 0.05, 0.05);
+  h.check("all slots dirty");
+}
+
+TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReferenceAuto) {
+  run_churn(ClearanceBackend::Auto);
+}
+
+TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReferenceGrid) {
+  run_churn(ClearanceBackend::Grid);
 }
 
 }  // namespace

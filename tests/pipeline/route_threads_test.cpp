@@ -152,6 +152,74 @@ TEST(RouteThreads, MegaBoardRerouteIsIdenticalAcrossThreads) {
   expect_reroute_identical_across_threads(mega_smoke, true);
 }
 
+/// Field-by-field, in-order equality of two violation lists.
+bool same_violations(const std::vector<layout::Violation>& a,
+                     const std::vector<layout::Violation>& b, std::string* why) {
+  if (a.size() != b.size()) {
+    *why = "count " + std::to_string(a.size()) + " vs " + std::to_string(b.size());
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const layout::Violation& x = a[i];
+    const layout::Violation& y = b[i];
+    if (x.kind != y.kind || x.trace != y.trace || x.other_trace != y.other_trace ||
+        x.index_a != y.index_a || x.index_b != y.index_b || x.measured != y.measured ||
+        x.required != y.required || x.note != y.note) {
+      *why = "violation " + std::to_string(i) + " differs";
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The mega smoke board's Session index holds 256 slots, so its board sweep
+/// runs on the grid, and after an edit it re-queries only the re-routed
+/// members' slots. After every edit (re-routing the bottom, a middle and the
+/// top group in turn) its violations must equal those of a Session freshly
+/// thawed from the same board state, whose first sweep covers every slot.
+void expect_board_clearance_matches_thaw(const drc::DesignRules& rules,
+                                         bool want_violations) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    scenario::Scenario sc = mega_smoke();
+    const RouterOptions opts = options_for(sc, threads);
+    std::vector<layout::BoardEdit> edits;
+    for (const std::size_t g : {std::size_t{0}, sc.layout.groups().size() / 2,
+                                sc.layout.groups().size() - 1}) {
+      layout::BoardEdit retarget;
+      retarget.kind = layout::BoardEditKind::SetGroupTarget;
+      retarget.group = g;
+      retarget.target = sc.layout.groups()[g].target_length * 1.02;
+      edits.push_back(retarget);
+    }
+    edits.push_back(edit_script(sc.layout).back());  // obstacle nudge
+
+    Session session(rules, opts, std::move(sc.layout));
+    session.route();
+    ASSERT_EQ(want_violations, !session.board_clearance().empty());
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+      session.apply(edits[i]);
+      const std::vector<layout::Violation> got = session.board_clearance();
+      Session thawed(rules, opts, session.layout(), session.route_state());
+      std::string why;
+      EXPECT_TRUE(same_violations(got, thawed.board_clearance(), &why))
+          << "edit " << i << ": " << why;
+    }
+  }
+}
+
+TEST(RouteThreads, MegaBoardClearanceMatchesThawedSessionAcrossThreads) {
+  const drc::DesignRules rules = mega_smoke().rules;
+  expect_board_clearance_matches_thaw(rules, false);
+  // A gap as wide as a member band makes every pair of neighbouring members
+  // violate, across group boundaries too: a re-routed group's violations
+  // with the clean groups beside it are then real, as are the ones the
+  // re-sweep keeps.
+  drc::DesignRules wide = rules;
+  wide.gap = 7.0;
+  expect_board_clearance_matches_thaw(wide, true);
+}
+
 TEST(RouteThreads, RotatedBoardRouteAndRerouteAreIdenticalAcrossThreads) {
   expect_route_identical_across_threads(rotated_board);
   expect_reroute_identical_across_threads(rotated_board, false);
