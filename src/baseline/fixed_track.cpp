@@ -61,7 +61,6 @@ FixedTrackMeanderer::FixedTrackMeanderer(drc::DesignRules rules,
   for (geom::Polygon& p : extra_obstacles) {
     env_.add_static(geom::inflate_polygon(std::move(p), inflate), core::EnvKind::SelfUra);
   }
-  env_.build_index();
   const geom::Box bb = area.outline.empty() ? geom::Box{{0, 0}, {1, 1}} : area.bbox();
   area_reach_ = std::hypot(bb.width(), bb.height());
 }

@@ -10,18 +10,6 @@ void Environment::add_static(geom::Polygon poly, EnvKind kind) {
   statics_.push_back(std::move(e));
 }
 
-void Environment::build_index() {
-  std::vector<index::RangeTree2D::Entry> entries;
-  total_nodes_ = 0;
-  for (std::size_t i = 0; i < statics_.size(); ++i) {
-    for (const geom::Point& p : statics_[i].poly.points()) {
-      entries.push_back({p, static_cast<std::uint32_t>(i)});
-      ++total_nodes_;
-    }
-  }
-  tree_ = index::RangeTree2D{std::move(entries)};
-}
-
 void Environment::set_dynamic(std::vector<geom::Polygon> uras) {
   dynamics_.clear();
   dynamics_.reserve(uras.size());

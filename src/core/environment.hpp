@@ -4,18 +4,18 @@
 /// checked against — the routable-area outline, obstacle holes (inflated for
 /// d_obs), and the URAs of the other segments of the trace under extension.
 ///
-/// Static polygons (area + obstacles) are indexed once: their node points go
-/// into the 2-D range tree the paper prescribes for Alg. 2 (§IV-D), and their
-/// bounding boxes into a flat list for edge-level prefiltering. Dynamic
-/// polygons (the trace's self-URAs, which change after every insertion) are
-/// swapped per segment and scanned linearly — there are at most a few dozen.
+/// Static polygons (area + obstacles) are kept with their bounding boxes in a
+/// flat list for prefiltering. Dynamic polygons (the trace's self-URAs, which
+/// change after every insertion) are swapped per segment. `collect` scans
+/// both linearly. The environment holds no node index: the 2-D range tree the
+/// paper prescribes for Alg. 2 (§IV-D) is built per height solver over the
+/// polygons collected near one segment (HeightSolver::node_tree_).
 
 #include <cstdint>
 #include <vector>
 
 #include "geom/box.hpp"
 #include "geom/polygon.hpp"
-#include "index/range_tree.hpp"
 
 namespace lmr::core {
 
@@ -35,16 +35,13 @@ struct EnvPolygon {
   geom::Box bbox;
 };
 
-/// Immutable-after-build static environment plus swappable dynamic overlay.
+/// Static environment plus swappable dynamic overlay.
 class Environment {
  public:
   Environment() = default;
 
-  /// Add a static polygon (before build_index()).
+  /// Add a static polygon.
   void add_static(geom::Polygon poly, EnvKind kind);
-
-  /// Build the node range tree over all static polygons.
-  void build_index();
 
   /// Replace the dynamic overlay (self-URAs of the current trace).
   void set_dynamic(std::vector<geom::Polygon> uras);
@@ -55,15 +52,10 @@ class Environment {
 
   [[nodiscard]] const std::vector<EnvPolygon>& statics() const { return statics_; }
   [[nodiscard]] const std::vector<EnvPolygon>& dynamics() const { return dynamics_; }
-  [[nodiscard]] const index::RangeTree2D& node_tree() const { return tree_; }
-
-  [[nodiscard]] std::size_t total_nodes() const { return total_nodes_; }
 
  private:
   std::vector<EnvPolygon> statics_;
   std::vector<EnvPolygon> dynamics_;
-  index::RangeTree2D tree_;  ///< nodes of static polygons, payload = index
-  std::size_t total_nodes_ = 0;
 };
 
 }  // namespace lmr::core

@@ -14,6 +14,25 @@ namespace {
 
 constexpr double kStrict = 1e-9;
 
+/// segment_intersection accepts a crossing at most kEps beyond an edge's end
+/// along the edge, so an edge whose x-range misses a vertical side line by
+/// more than this margin cannot meet it.
+constexpr double kSideMargin = 1000.0 * geom::kEps;
+
+/// Per-thread buffers reused by every max_height call, so the solver stays
+/// const (shareable across pool workers) and a query allocates nothing once
+/// warm. Only the entries of the current candidates are ever read or written.
+struct Scratch {
+  std::vector<std::size_t> cand;
+  std::vector<std::size_t> inside_count;
+  std::vector<double> inside_min_y;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
 /// Strictly-inside test against the outer border (touching the border is
 /// exactly the rule distance, hence legal).
 bool strictly_inside(const geom::Box& outer, const geom::Point& p) {
@@ -79,10 +98,16 @@ double HeightSolver::shrink_by_sides(const UraBorders& b,
   const geom::Box outer = b.outer();
   const geom::Segment left{{outer.lo.x, 0.0}, {outer.lo.x, b.hob}};
   const geom::Segment right{{outer.hi.x, 0.0}, {outer.hi.x, b.hob}};
+  const auto near_a_side = [&](double lo, double hi) {
+    return (lo <= outer.lo.x + kSideMargin && hi >= outer.lo.x - kSideMargin) ||
+           (lo <= outer.hi.x + kSideMargin && hi >= outer.hi.x - kSideMargin);
+  };
   for (std::size_t idx : cand) {
     const LocalPoly& lp = polys_[idx];
+    if (!near_a_side(lp.bbox.lo.x, lp.bbox.hi.x)) continue;
     for (std::size_t e = 0; e < lp.poly.size(); ++e) {
       const geom::Segment edge = lp.poly.edge(e);
+      if (!near_a_side(std::min(edge.a.x, edge.b.x), std::max(edge.a.x, edge.b.x))) continue;
       if (auto p = geom::segment_intersection(edge, left)) hob = std::min(hob, p->y);
       if (auto p = geom::segment_intersection(edge, right)) hob = std::min(hob, p->y);
     }
@@ -94,8 +119,13 @@ double HeightSolver::shrink_by_nodes(UraBorders b, const std::vector<std::size_t
   // Interleave hat shrinking (Alg. 2 / Eq. 12) and inner-border shrinking
   // (Eq. 13) until neither applies. Each shrink lands hob on a node
   // ordinate strictly below the previous hob, so the loop terminates.
-  std::vector<std::size_t> inside_count(polys_.size(), 0);
-  std::vector<double> inside_min_y(polys_.size(), 0.0);
+  Scratch& sc = scratch();
+  if (sc.inside_count.size() < polys_.size()) {
+    sc.inside_count.resize(polys_.size());
+    sc.inside_min_y.resize(polys_.size());
+  }
+  std::vector<std::size_t>& inside_count = sc.inside_count;
+  std::vector<double>& inside_min_y = sc.inside_min_y;
   while (b.hob > kStrict) {
     // --- classify nodes against the current outer border ---
     for (std::size_t idx : cand) {
@@ -156,7 +186,8 @@ double HeightSolver::max_height(double x0, double x1, double h_request) const {
 
   // Candidate polygons: bbox overlap with the initial outer border.
   const geom::Box outer = b.outer();
-  std::vector<std::size_t> cand;
+  std::vector<std::size_t>& cand = scratch().cand;
+  cand.clear();
   for (std::size_t i = 0; i < polys_.size(); ++i) {
     if (polys_[i].bbox.intersects(outer, kStrict)) cand.push_back(i);
   }

@@ -24,6 +24,16 @@ struct State {
   Transit tr;
 };
 
+/// A left foot j on one side with its Eq. 8 predecessor and height request.
+struct Foot {
+  int j = 0;
+  int pi = -1;             ///< predecessor point index (-1 = initial state)
+  int pdir = 0;            ///< predecessor dir (index 0/1)
+  bool connected = false;  ///< predecessor via transition (c)
+  double pred = -1.0;      ///< predecessor gain (-1 = no valid predecessor)
+  double h_request = 0.0;
+};
+
 int dir_of(int d) { return d == 0 ? 1 : -1; }
 
 }  // namespace
@@ -48,6 +58,47 @@ DpResult run_segment_dp(const DpParams& params, const HeightFn& height) {
   };
   const auto left_node_ok = [&](int j) { return j == 0 || j >= p; };
 
+  // Pattern legs are same-side parallel runs, so the hat width must meet
+  // the gap rule; the hat is itself a segment, so it must also meet
+  // d_protect. Hence the minimum width below.
+  const int min_w = std::max(g, p);
+
+  // Admit left foot j on side d: choose its best valid predecessor (Eq. 8)
+  // and its height request. Both read only dp[0..j], so they are final once
+  // i > j and are shared by every right foot i. A foot that cannot take a
+  // pattern (no predecessor, or the requirement already met) is dropped.
+  std::array<std::vector<Foot>, 2> feet;
+  for (auto& f : feet) f.reserve(static_cast<std::size_t>(n));
+  const auto admit = [&](int j, int d) {
+    const int od = 1 - d;
+    Foot f;
+    f.j = j;
+    f.pdir = d;
+    const auto consider = [&](double gain, int pi, int pdir, bool connected) {
+      if (gain > f.pred + kTieEps ||
+          (gain > f.pred - kTieEps && connected && !f.connected)) {
+        f.pred = gain;
+        f.pi = pi;
+        f.pdir = pdir;
+        f.connected = connected;
+      }
+    };
+    if (j - g >= 0) consider(dp[j - g][d].gain, j - g, d, false);   // (a) p_gap
+    if (j - p >= 0) consider(dp[j - p][od].gain, j - p, od, false); // (b) p_protect
+    if (dp[j][od].through_pattern) consider(dp[j][od].gain, j, od, true);  // (c) p_local
+    if (j == 0) consider(0.0, -1, d, false);  // (d) connect to left node
+    if (f.pred < 0.0) return;
+
+    // --- height request: remaining requirement after the predecessor ---
+    f.h_request = height_for_gain(std::max(0.0, params.needed_gain - f.pred), params.style,
+                                  params.miter);
+    if (f.h_request < params.min_height) {
+      if (params.needed_gain - f.pred <= 0.0) return;  // nothing needed
+      f.h_request = params.min_height;  // small remainder: allow the minimum
+    }
+    feet[d].push_back(f);
+  };
+
   for (int i = 1; i < n; ++i) {
     for (int d = 0; d < 2; ++d) {
       // Eq. 6: carry the previous best along the segment.
@@ -58,52 +109,26 @@ DpResult run_segment_dp(const DpParams& params, const HeightFn& height) {
       if (i - 1 == 0) s.tr.pi = -1;
       dp[i][d] = s;
     }
+    // The narrowest pattern ending at i starts at i - min_w, which from now
+    // on is a final left foot.
+    const int j_new = i - min_w;
+    if (j_new >= 0 && left_node_ok(j_new)) {
+      for (int d = 0; d < 2; ++d) admit(j_new, d);
+    }
     if (!right_node_ok(i)) continue;
 
-    // Pattern legs are same-side parallel runs, so the hat width must meet
-    // the gap rule; the hat is itself a segment, so it must also meet
-    // d_protect. Hence the minimum width below.
-    const int min_w = std::max(g, p);
-    const int max_w = params.max_width_steps > 0 ? std::min(params.max_width_steps, i) : i;
+    const int j_min = params.max_width_steps > 0 ? i - params.max_width_steps : 0;
     for (int d = 0; d < 2; ++d) {
-      const int od = 1 - d;
-      for (int w = min_w; w <= max_w; ++w) {
-        const int j = i - w;
-        if (!left_node_ok(j)) continue;
-
-        // --- choose the best valid predecessor (Eq. 8) ---
-        double best_pred = -1.0;
-        int best_pi = -1, best_pdir = d;
-        bool best_connected = false;
-        const auto consider = [&](double gain, int pi, int pdir, bool connected) {
-          if (gain > best_pred + kTieEps ||
-              (gain > best_pred - kTieEps && connected && !best_connected)) {
-            best_pred = gain;
-            best_pi = pi;
-            best_pdir = pdir;
-            best_connected = connected;
-          }
-        };
-        if (j - g >= 0) consider(dp[j - g][d].gain, j - g, d, false);   // (a) p_gap
-        if (j - p >= 0) consider(dp[j - p][od].gain, j - p, od, false); // (b) p_protect
-        if (dp[j][od].through_pattern) consider(dp[j][od].gain, j, od, true);  // (c) p_local
-        if (j == 0) consider(0.0, -1, d, false);  // (d) connect to left node
-        if (best_pred < 0.0) continue;
-
-        // --- height request: remaining requirement after the predecessor ---
-        double h_request =
-            height_for_gain(std::max(0.0, params.needed_gain - best_pred),
-                            params.style, params.miter);
-        if (h_request < params.min_height) {
-          if (params.needed_gain - best_pred <= 0.0) continue;  // nothing needed
-          h_request = params.min_height;  // small remainder: allow the minimum
-        }
-        const double h = height(j, i, dir_of(d), h_request);
+      // Widths ascending = left feet descending, as in the width loop of
+      // Alg. 1; only the admitted feet can reach the height callback.
+      for (auto it = feet[d].rbegin(); it != feet[d].rend() && it->j >= j_min; ++it) {
+        const Foot& f = *it;
+        const double h = height(f.j, i, dir_of(d), f.h_request);
         if (h < params.min_height) continue;
         const double gain = pattern_gain(h, params.style, params.miter);
         if (gain <= 0.0) continue;
 
-        const double total = best_pred + gain;
+        const double total = f.pred + gain;
         State& cur = dp[i][d];
         const bool better = total > cur.gain + kTieEps;
         const bool tie_preferred =
@@ -111,7 +136,7 @@ DpResult run_segment_dp(const DpParams& params, const HeightFn& height) {
         if (better || tie_preferred) {
           cur.gain = total;
           cur.through_pattern = true;
-          cur.tr = Transit{best_pi, best_pdir, w, h, best_connected};
+          cur.tr = Transit{f.pi, f.pdir, i - f.j, h, f.connected};
         }
       }
     }

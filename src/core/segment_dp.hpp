@@ -18,6 +18,22 @@
 ///
 /// Restoration (§IV-C) backtracks the transit records <i', dir', w'> plus
 /// the stored height.
+///
+/// Live feet: everything a transition (i, dir, w) decides before the height
+/// callback — the best predecessor among (a)-(d), and the height request
+/// derived from it — depends only on the left foot j = i - w and reads only
+/// dp[0..j], which is final once i > j. The DP therefore decides each foot
+/// once, when the narrowest pattern can first reach it, and keeps only the
+/// feet that can take a pattern: a foot with no valid predecessor, or whose
+/// predecessor already meets `needed_gain`, is dropped, exactly as the width
+/// loop would have skipped each of its transitions. The width loop visits
+/// the kept feet in ascending width, so the callback sequence, the Figs. 4-5
+/// tie-breaking and the result equal those of the plain loop bit for bit.
+/// Once the requirement is met, every later foot is dropped and the loop
+/// empties; an unbounded requirement keeps the O(n^2) (O(n * W) capped)
+/// worst case. No monotone frontier is assumed: predecessor gains may dip
+/// by less than the tie tolerance (the Fig. 4 tie preference), and Eq. 8
+/// may keep a predecessor up to that tolerance below the larger one.
 
 #include <functional>
 #include <vector>

@@ -11,21 +11,25 @@ RangeTree2D::RangeTree2D(std::vector<Entry> entries) : entries_(std::move(entrie
             [](const Entry& a, const Entry& b) { return a.p.x < b.p.x; });
   xs_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) xs_[i] = entries_[i].p.x;
-  ylists_.assign(4 * n_, {});
-  build(1, 0, n_);
+  // The widest node at depth L spans ceil(n / 2^L) entries; leaves stop
+  // the halving.
+  std::size_t levels = 1;
+  for (std::size_t span = n_; span > 1; span = (span + 1) / 2) ++levels;
+  ys_.resize(levels * n_);
+  build(0, 0, n_);
 }
 
-void RangeTree2D::build(std::size_t node, std::size_t lo, std::size_t hi) {
-  auto& ys = ylists_[node];
-  ys.reserve(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) {
-    ys.push_back({entries_[i].p.y, static_cast<std::uint32_t>(i)});
+void RangeTree2D::build(std::size_t level, std::size_t lo, std::size_t hi) {
+  YEntry* row = ys_.data() + level * n_;
+  if (hi - lo == 1) {
+    row[lo] = {entries_[lo].p.y, static_cast<std::uint32_t>(lo)};
+    return;
   }
-  std::sort(ys.begin(), ys.end());
-  if (hi - lo <= 1) return;
   const std::size_t mid = (lo + hi) / 2;
-  build(node * 2, lo, mid);
-  build(node * 2 + 1, mid, hi);
+  build(level + 1, lo, mid);
+  build(level + 1, mid, hi);
+  const YEntry* child = row + n_;
+  std::merge(child + lo, child + mid, child + mid, child + hi, row + lo);
 }
 
 std::vector<RangeTree2D::Entry> RangeTree2D::query(const geom::Box& box) const {

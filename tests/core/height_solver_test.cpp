@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <vector>
 
 namespace lmr::core {
 namespace {
@@ -25,6 +27,51 @@ LocalPoly wall(Polygon p) {
   lp.kind = EnvKind::AreaOutline;
   return lp;
 }
+
+// --- side-line scenes -------------------------------------------------------
+// Feet at 2 and 8 put the URA side lines at x = 1.5 and x = 8.5. Each scene
+// holds one polygon with a vertex, or a whole edge, on one side line, or
+// 1e-10 / 1e-7 to either side of it: where the side-edge prefilter and the
+// intersection tolerance meet.
+
+constexpr double kSideX0 = 2.0;
+constexpr double kSideX1 = 8.0;
+constexpr double kSideRequest = 6.0;
+
+std::vector<LocalPoly> side_line_scene(int index) {
+  const int shape = index % 5;
+  const EnvKind kind = (index / 5) % 2 == 0 ? EnvKind::Obstacle : EnvKind::SelfUra;
+  constexpr std::array<double, 5> kOffsets{0.0, 1e-10, -1e-10, 1e-7, -1e-7};
+  const double off = kOffsets[static_cast<std::size_t>((index / 10) % 5)];
+  const bool left = index / 50 == 0;
+  const double s = (left ? kSideX0 - kHalf : kSideX1 + kHalf) + off;
+  const double in = left ? 1.0 : -1.0;  // direction into the URA
+  std::vector<Point> pts;
+  switch (shape) {
+    case 0:  // outside, one edge collinear with the side line
+      pts = {{s - 1.5 * in, 1.0}, {s, 1.0}, {s, 4.0}, {s - 1.5 * in, 4.0}};
+      break;
+    case 1:  // inside, one edge collinear with the side line
+      pts = {{s, 2.5}, {s + in, 2.5}, {s + in, 3.5}, {s, 3.5}};
+      break;
+    case 2:  // outside diamond touching the line with one vertex
+      pts = {{s, 3.0}, {s - 0.6 * in, 2.4}, {s - 1.2 * in, 3.0}, {s - 0.6 * in, 3.6}};
+      break;
+    case 3:  // inside diamond touching the line with one vertex
+      pts = {{s, 3.0}, {s + 0.6 * in, 2.4}, {s + 1.2 * in, 3.0}, {s + 0.6 * in, 3.6}};
+      break;
+    default:  // slanted edge leaving the line from a vertex on it
+      pts = {{s, 2.0}, {s - 2.0 * in, 6.0}, {s - 2.0 * in, 2.0}};
+      break;
+  }
+  LocalPoly lp;
+  lp.poly = Polygon{std::move(pts)};
+  lp.kind = kind;
+  return {lp};
+}
+
+constexpr int kSideScenes = 100;
+// --- end side-line scenes ---------------------------------------------------
 
 TEST(HeightSolver, FreeSpaceReturnsRequest) {
   HeightSolver s({}, kHalf);
@@ -156,6 +203,41 @@ TEST(HeightSolver, ObstacleBeyondSidesIgnored) {
   EXPECT_DOUBLE_EQ(s.max_height(2.0, 8.0, 5.0), 5.0);
 }
 
+TEST(HeightSolver, SideLineVerticesKeepRecordedHeights) {
+  // Heights recorded from the solver before the side-edge prefilter; the
+  // prefilter must not move a single bit. Rows: five shapes each, in the
+  // order of side_line_scene.
+  constexpr std::array<double, kSideScenes> kRecorded{
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.3fffffffc9064p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.3fffffffc9064p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.3fffff29406b2p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.3fffff29406b2p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1.8p+2, 0x1p+1, 0x1.8p+2, 0x1.e666666666666p+0, 0x1.8p+2,
+    0x1.8p+2, 0x1p+1, 0x1.8p+2, 0x1.e666666666666p+0, 0x1.8p+2,
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.3fffffffc9064p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.3fffffffc9064p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1.8p+2, 0x1p+1, 0x1.8p+2, 0x1.e666666666666p+0, 0x1.8p+2,
+    0x1.8p+2, 0x1p+1, 0x1.8p+2, 0x1.e666666666666p+0, 0x1.8p+2,
+    0x1p-1, 0x1p+1, 0x1.3fffff29406b4p+1, 0x1.e666666666666p+0, 0x1.8p+0,
+    0x1p-1, 0x1p+1, 0x1.3fffff29406b4p+1, 0x1.e666666666666p+0, 0x1.8p+0};
+  for (int i = 0; i < kSideScenes; ++i) {
+    const HeightSolver s(side_line_scene(i), kHalf);
+    const double h = s.max_height(kSideX0, kSideX1, kSideRequest);
+    EXPECT_EQ(h, kRecorded[static_cast<std::size_t>(i)]) << "scene " << i;
+    if (h > 0.0) {
+      EXPECT_TRUE(s.valid_exhaustive(kSideX0, kSideX1, h)) << "scene " << i;
+    }
+  }
+}
+
 TEST(HeightSolver, ForSegmentTransformsEnvironment) {
   // Global environment with a wall above a 45-degree segment.
   Environment env;
@@ -165,7 +247,6 @@ TEST(HeightSolver, ForSegmentTransformsEnvironment) {
   geom::Polygon wall_poly{{geom::Point{0, 0} + n * 2.0, geom::Point{10, 10} + n * 2.0,
                            geom::Point{10, 10} + n * 5.0, geom::Point{0, 0} + n * 5.0}};
   env.add_static(wall_poly, EnvKind::AreaOutline);
-  env.build_index();
   const geom::Segment seg{{0, 0}, {10, 10}};
   const HeightSolver up = HeightSolver::for_segment(env, seg, +1, 10.0, kHalf);
   const double h = up.max_height(3.0, 9.0, 8.0);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 namespace lmr::index {
 namespace {
@@ -46,6 +48,25 @@ TEST(RangeTree, GridQuery) {
   EXPECT_EQ(t.query({{-5, -5}, {-1, -1}}).size(), 0u);
 }
 
+/// Payloads of the entries inside `box`, sorted: the multiset a query must
+/// return (the visit order among equal-y entries is unspecified).
+std::vector<std::uint32_t> brute_force(const std::vector<RangeTree2D::Entry>& entries,
+                                       const Box& box) {
+  std::vector<std::uint32_t> out;
+  for (const auto& e : entries) {
+    if (box.contains(e.p)) out.push_back(e.payload);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::uint32_t> payloads(const RangeTree2D& t, const Box& box) {
+  std::vector<std::uint32_t> out;
+  for (const auto& e : t.query(box)) out.push_back(e.payload);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(RangeTree, MatchesBruteForceOnRandomData) {
   std::mt19937_64 rng(123);
   std::uniform_real_distribution<double> u(0.0, 100.0);
@@ -55,11 +76,61 @@ TEST(RangeTree, MatchesBruteForceOnRandomData) {
   for (int trial = 0; trial < 40; ++trial) {
     const double x0 = u(rng), x1 = u(rng), y0 = u(rng), y1 = u(rng);
     const Box box{{std::min(x0, x1), std::min(y0, y1)}, {std::max(x0, x1), std::max(y0, y1)}};
-    std::size_t expected = 0;
-    for (const auto& e : entries) {
-      if (box.contains(e.p)) ++expected;
+    EXPECT_EQ(payloads(t, box), brute_force(entries, box)) << "trial " << trial;
+  }
+}
+
+TEST(RangeTree, MatchesBruteForceAcrossSizesAndDegenerateBoxes) {
+  // Sizes around the halving boundaries, an integer lattice full of
+  // duplicate x and y values, and boxes whose edges sit exactly on point
+  // coordinates, including zero-width and zero-height boxes.
+  std::mt19937_64 rng(99);
+  for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 31u, 32u, 33u, 1000u}) {
+    std::uniform_int_distribution<int> lattice(0, static_cast<int>(n / 4) + 2);
+    std::vector<RangeTree2D::Entry> entries;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      entries.push_back({{double(lattice(rng)), double(lattice(rng))}, i});
     }
-    EXPECT_EQ(t.query(box).size(), expected) << "trial " << trial;
+    const RangeTree2D t{entries};
+    ASSERT_EQ(t.size(), n);
+    const int hi = static_cast<int>(n / 4) + 3;
+    std::uniform_int_distribution<int> coord(-1, hi);
+    for (int trial = 0; trial < 60; ++trial) {
+      int x0 = coord(rng), x1 = coord(rng), y0 = coord(rng), y1 = coord(rng);
+      if (trial % 4 == 1) x1 = x0;  // zero width
+      if (trial % 4 == 2) y1 = y0;  // zero height
+      if (trial % 4 == 3) {         // a single lattice point
+        x1 = x0;
+        y1 = y0;
+      }
+      const Box box{{double(std::min(x0, x1)), double(std::min(y0, y1))},
+                    {double(std::max(x0, x1)), double(std::max(y0, y1))}};
+      EXPECT_EQ(payloads(t, box), brute_force(entries, box)) << "n " << n << " trial " << trial;
+    }
+  }
+}
+
+TEST(RangeTree, EarlyStopReturnsExactlyKEntriesFromTheBox) {
+  std::mt19937_64 rng(5);
+  std::uniform_int_distribution<int> lattice(0, 20);
+  std::vector<RangeTree2D::Entry> entries;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    entries.push_back({{double(lattice(rng)), double(lattice(rng))}, i});
+  }
+  const RangeTree2D t{entries};
+  const Box box{{3, 4}, {15, 12}};
+  const std::vector<std::uint32_t> all = brute_force(entries, box);
+  ASSERT_GT(all.size(), 50u);
+  for (std::size_t k : {1u, 7u, 50u}) {
+    std::vector<std::uint32_t> seen;
+    t.visit(box, [&](const RangeTree2D::Entry& e) {
+      seen.push_back(e.payload);
+      return seen.size() < k;
+    });
+    ASSERT_EQ(seen.size(), k);
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());  // no repeats
+    EXPECT_TRUE(std::includes(all.begin(), all.end(), seen.begin(), seen.end()));
   }
 }
 
