@@ -7,7 +7,7 @@
 #include <filesystem>
 
 #include "core/trace_extender.hpp"
-#include "pipeline/group_matcher.hpp"
+#include "pipeline/router.hpp"
 #include "viz/render.hpp"
 #include "workload/table1_cases.hpp"
 
@@ -17,11 +17,12 @@ int main() {
   // (a) Case 1 after matching.
   {
     auto c = lmr::workload::table1_case(1);
-    lmr::pipeline::GroupMatcher gm(c.layout, c.rules);
-    lmr::core::ExtenderConfig cfg;
-    cfg.l_disc = c.rules.gap;
-    cfg.max_width_steps = 24;
-    gm.match_group(0, cfg);
+    lmr::pipeline::RouterOptions opts;
+    opts.extender.l_disc = c.rules.gap;
+    opts.extender.max_width_steps = 24;
+    opts.run_drc = false;
+    opts.threads = 1;
+    (void)lmr::pipeline::Router(c.rules, opts).route(c.layout);
     lmr::viz::render_layout(c.layout, "out/fig14a.svg");
     std::printf("fig14a: matched Table I case 1 -> out/fig14a.svg\n");
   }

@@ -1,7 +1,7 @@
 /// \file micro_executor.cpp
 /// Executor microbenchmarks: what the persistent pool buys over per-call
-/// `std::async` spawning, and what a repeated `route_batch` costs end to
-/// end.
+/// `std::async` spawning, and what a repeated threaded `route` costs end
+/// to end.
 ///
 ///  * PoolSubmitDrain vs AsyncSpawnDrain — pure dispatch overhead of one
 ///    claimer-style fan-out (the seed router's pattern) with trivial tasks;
@@ -9,7 +9,7 @@
 ///    time.
 ///  * ParallelForDynamic — the helper the router actually calls, per
 ///    fan-out cost at several widths.
-///  * RouteBatchRepeated — 1x route_batch on the multi_group/3x6 board per
+///  * RouteRepeated — 1x route() on the multi_group/3x6 board per
 ///    iteration through one persistent Router (pool created once); the
 ///    repeated-call regression measure of the executor PR.
 
@@ -76,9 +76,9 @@ void BM_ParallelForDynamic(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForDynamic)->Arg(8)->Arg(64)->Arg(512);
 
-/// Repeated end-to-end route_batch through one persistent Router: the
+/// Repeated end-to-end route() through one persistent Router: the
 /// multi_group/3x6 board, first group, fresh layout copy per iteration.
-void BM_RouteBatchRepeated(benchmark::State& state) {
+void BM_RouteRepeated(benchmark::State& state) {
   const auto fam = lmr::scenario::family("multi_group", false);
   const lmr::scenario::Scenario sc = lmr::scenario::materialize(fam.cases.at(0));
   lmr::pipeline::RouterOptions opts;
@@ -88,11 +88,11 @@ void BM_RouteBatchRepeated(benchmark::State& state) {
   const lmr::pipeline::Router router(sc.rules, opts);
   for (auto _ : state) {
     lmr::layout::Layout layout = sc.layout;
-    const lmr::pipeline::RouteResult rr = router.route_batch(layout, 0);
+    const lmr::pipeline::RouteResult rr = router.route(layout, 0);
     benchmark::DoNotOptimize(rr.group.max_error_pct);
   }
 }
-BENCHMARK(BM_RouteBatchRepeated)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteRepeated)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

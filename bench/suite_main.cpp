@@ -3,7 +3,7 @@
 /// tracked results file (see EXPERIMENTS.md "Benchmark suite").
 ///
 ///   bench_suite [--smoke] [--out PATH] [--family NAME]... [--threads N]
-///               [--no-drc] [--scaling] [--drc-overlap] [--edit-storm] [--list]
+///               [--no-drc] [--scaling] [--edit-storm] [--list]
 ///
 /// Exit code 0 when every case is ok (matched where expected, DRC-clean).
 /// `--scaling` additionally sweeps thread counts over the parallelism
@@ -11,8 +11,6 @@
 /// speedup curve to the result document under `"scaling"` (volatile:
 /// timing-only), then diffs the forced range-tree clearance backend against
 /// the forced uniform grid on the dense families under `"backend"`;
-/// `--drc-overlap` diffs the staged extend/DRC pipeline against the legacy
-/// barrier schedule on the same families under `"drc_overlap"`;
 /// `--edit-storm` replays the seeded edit scripts on live sessions under
 /// `"edit_storm"` and *fails the run* unless every incremental end state is
 /// bit-identical to a fresh route of the edited board; `--service` replays
@@ -40,7 +38,7 @@ namespace {
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--smoke] [--out PATH] [--family NAME]... [--threads N] [--no-drc] "
-      "[--scaling] [--drc-overlap] [--edit-storm] [--service] [--fault-storm] "
+      "[--scaling] [--edit-storm] [--service] [--fault-storm] "
       "[--seed N] [--list]\n"
       "  --smoke        tiny per-family variants (CI-sized seeds)\n"
       "  --out PATH     results file (default BENCH_results.json)\n"
@@ -50,8 +48,6 @@ void usage(const char* argv0) {
       "  --scaling      also sweep thread counts on large_group/multi_group/\n"
       "                 mega_board (speedup curve) and diff the range-tree vs\n"
       "                 uniform-grid clearance backends on the dense families\n"
-      "  --drc-overlap  also diff the overlapped extend/DRC pipeline against the\n"
-      "                 barrier schedule on large_group/multi_group\n"
       "  --edit-storm   also replay seeded edit scripts on live sessions; fails\n"
       "                 unless each end state matches a fresh route bit for bit\n"
       "  --service      also replay multi-board service storms through a\n"
@@ -72,7 +68,6 @@ int main(int argc, char** argv) {
   lmr::bench::SuiteOptions opts;
   std::string out_path = "BENCH_results.json";
   bool scaling = false;
-  bool drc_overlap = false;
   bool edit_storm = false;
   bool service = false;
   bool fault_storm = false;
@@ -84,8 +79,6 @@ int main(int argc, char** argv) {
       opts.smoke = true;
     } else if (arg == "--scaling") {
       scaling = true;
-    } else if (arg == "--drc-overlap") {
-      drc_overlap = true;
     } else if (arg == "--edit-storm") {
       edit_storm = true;
     } else if (arg == "--service") {
@@ -183,25 +176,6 @@ int main(int argc, char** argv) {
                   c.range_tree_sweep_s, c.grid_sweep_s, c.speedup);
     }
     doc["backend"] = lmr::bench::Suite::backend_json(backends);
-  }
-
-  if (drc_overlap) {
-    std::vector<lmr::bench::OverlapComparison> comparisons;
-    try {
-      comparisons =
-          lmr::bench::Suite::run_drc_overlap(opts, {"large_group", "multi_group"});
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "drc-overlap sweep failed: %s\n", e.what());
-      return 2;
-    }
-    std::printf("\ndrc-overlap sweep (barrier vs staged pipeline):\n");
-    std::printf("%-16s %-12s %-12s %-8s\n", "family", "barrier[s]", "overlap[s]",
-                "speedup");
-    for (const lmr::bench::OverlapComparison& c : comparisons) {
-      std::printf("%-16s %-12.3f %-12.3f %-8.2f\n", c.family.c_str(),
-                  c.barrier_runtime_s, c.overlapped_runtime_s, c.speedup);
-    }
-    doc["drc_overlap"] = lmr::bench::Suite::drc_overlap_json(comparisons);
   }
 
   bool storms_ok = true;

@@ -51,6 +51,7 @@ Row run_case(int k) {
     lmr::pipeline::RouterOptions opts;
     opts.engine = lmr::pipeline::Engine::AidtStyle;
     opts.run_drc = false;  // Table I times the matching flow only
+    opts.threads = 1;      // ... on one thread, like the paper's runs
     const lmr::pipeline::Router router(c.rules, opts);
     row.t_aidt = router.route(c.layout).group.runtime_s;
     row.aidt = lmr::workload::matching_errors(
@@ -64,6 +65,7 @@ Row run_case(int k) {
     opts.extender.l_disc = 0.5;
     opts.extender.max_width_steps = 24;
     opts.run_drc = false;
+    opts.threads = 1;
     const lmr::pipeline::Router router(c.rules, opts);
     row.t_ours = router.route(c.layout).group.runtime_s;
     row.ours = lmr::workload::matching_errors(

@@ -1,7 +1,7 @@
 /// \file bus_matching.cpp
 /// Full pipeline on a parallel bus: region assignment (§III) splits a
-/// corridor bundle between six traces of different initial lengths, then the
-/// group matcher meanders each trace to the common target inside its own
+/// corridor bundle between six traces of different initial lengths, then
+/// `pipeline::Router` meanders each trace to the common target inside its own
 /// region. This is the end-to-end flow of Fig. 2.
 
 #include <cstdio>
@@ -9,7 +9,7 @@
 
 #include "assign/region_assigner.hpp"
 #include "layout/drc_checker.hpp"
-#include "pipeline/group_matcher.hpp"
+#include "pipeline/router.hpp"
 #include "viz/render.hpp"
 
 int main() {
@@ -67,9 +67,13 @@ int main() {
   for (const auto& o : obstacles) l.add_obstacle({o, "via"});
   l.add_group(group);
 
-  // Match the whole group.
-  lmr::pipeline::GroupMatcher matcher(l, rules);
-  const lmr::pipeline::GroupReport report = matcher.match_group(0);
+  // Match the whole group. The board-wide DRC below is the oracle, so the
+  // router's own sweep is off.
+  lmr::pipeline::RouterOptions opts;
+  opts.run_drc = false;
+  opts.threads = 1;
+  const lmr::pipeline::GroupReport report =
+      lmr::pipeline::Router(rules, opts).route(l).group;
 
   std::printf("group '%s': target %.2f\n", report.group_name.c_str(), report.target);
   std::printf("  initial errors: max %.2f%%  avg %.2f%%\n", report.initial_max_error_pct,

@@ -133,7 +133,8 @@ CaseOutcome Suite::run_case(const scenario::Family& fam,
 
   const pipeline::Router router(sc.rules, router_options_for(sc));
 
-  for (const pipeline::RouteResult& rr : router.route_all(sc.layout)) {
+  const pipeline::BoardRoute board = router.route_board(sc.layout);
+  for (const pipeline::RouteResult& rr : board.results) {
     GroupOutcome go;
     go.group = rr.group.group_name;
     go.target = rr.group.target;
@@ -232,39 +233,6 @@ std::vector<ScalingCurve> Suite::run_scaling(const SuiteOptions& base,
   return curves;
 }
 
-std::vector<OverlapComparison> Suite::run_drc_overlap(
-    const SuiteOptions& base, const std::vector<std::string>& families) {
-  // Min of several repeats per schedule, with each schedule's Suite (and
-  // therefore its pool) reused across its repeats: a single cold sample
-  // would charge thread spin-up and allocator warm-up to whichever schedule
-  // runs first and report that bias as a "win".
-  constexpr int kRepeats = 3;
-  std::vector<OverlapComparison> comparisons;
-  for (const std::string& fam : families) {
-    OverlapComparison cmp;
-    cmp.family = fam;
-    for (const pipeline::DrcSchedule schedule :
-         {pipeline::DrcSchedule::Barrier, pipeline::DrcSchedule::Overlapped}) {
-      SuiteOptions opts = base;
-      opts.families = {fam};
-      opts.router.drc_schedule = schedule;
-      const Suite suite(opts);
-      double best = 0.0;
-      for (int rep = 0; rep < kRepeats; ++rep) {
-        const SuiteResult r = suite.run();
-        best = rep == 0 ? r.runtime_s : std::min(best, r.runtime_s);
-      }
-      (schedule == pipeline::DrcSchedule::Barrier ? cmp.barrier_runtime_s
-                                                  : cmp.overlapped_runtime_s) = best;
-    }
-    cmp.speedup = cmp.overlapped_runtime_s > 0.0
-                      ? cmp.barrier_runtime_s / cmp.overlapped_runtime_s
-                      : 0.0;
-    comparisons.push_back(std::move(cmp));
-  }
-  return comparisons;
-}
-
 std::vector<BackendComparison> Suite::run_backend_compare(
     const SuiteOptions& base, const std::vector<std::string>& families) {
   // The backend decides the broadphase cost of the *board-level* clearance
@@ -273,9 +241,8 @@ std::vector<BackendComparison> Suite::run_backend_compare(
   // is extension/oracle-dominated and would bury the difference, so: route
   // each family once (routed geometry is backend-invariant, enforced by the
   // clearance_backend tests), then time a cold build-insert-sweep of a
-  // whole-board index per backend. Min of repeats, same shape as
-  // run_drc_overlap and for the same reason: a single cold sample would
-  // bill allocator warm-up to whichever backend runs first.
+  // whole-board index per backend. Min of repeats: a single cold sample
+  // would bill allocator warm-up to whichever backend runs first.
   constexpr int kRepeats = 3;
   std::vector<BackendComparison> comparisons;
   for (const std::string& fam : families) {
@@ -287,7 +254,7 @@ std::vector<BackendComparison> Suite::run_backend_compare(
     for (const scenario::FamilyCase& fc : scenario::family(fam, opts.smoke).cases) {
       scenario::Scenario sc = scenario::materialize(fc);
       const pipeline::Router router(sc.rules, suite.router_options_for(sc));
-      (void)router.route_all(sc.layout);
+      (void)router.route_board(sc.layout);
       boards.push_back(std::move(sc));
     }
 
@@ -804,19 +771,6 @@ Json Suite::fault_storm_json(const std::vector<FaultStormOutcome>& storms) {
     }
     js["points"] = std::move(jpoints);
     out.push_back(std::move(js));
-  }
-  return out;
-}
-
-Json Suite::drc_overlap_json(const std::vector<OverlapComparison>& comparisons) {
-  Json out = Json::array();
-  for (const OverlapComparison& c : comparisons) {
-    Json jc = Json::object();
-    jc["family"] = c.family;
-    jc["barrier_runtime_s"] = c.barrier_runtime_s;
-    jc["overlapped_runtime_s"] = c.overlapped_runtime_s;
-    jc["speedup"] = c.speedup;
-    out.push_back(std::move(jc));
   }
   return out;
 }

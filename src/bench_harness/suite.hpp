@@ -3,7 +3,7 @@
 /// Benchmark-suite runner: scenario families -> Router -> tracked JSON.
 ///
 /// `Suite::run()` materializes every case of the selected scenario
-/// families, drives `pipeline::Router::route_all()` over every board, and
+/// families, drives `pipeline::Router::route_board()` over every board, and
 /// collects the paper's Eq. 19 quality metrics, runtimes and DRC verdicts.
 /// Independent cases run concurrently on one persistent work-stealing pool
 /// (exec/task_pool) shared with the Routers' group/member fan-outs; every
@@ -11,10 +11,9 @@
 /// thread counts. `to_json` serializes the outcome under the report
 /// conventions of report.hpp, so `BENCH_results.json` can be committed and
 /// re-generated bit-identically (modulo the volatile context: `"run"`,
-/// `"scaling"`, `"drc_overlap"`, `"backend"`, `threads_used`/`pool_policy`,
-/// and `*_s` timing fields) from the same seeds. `run_scaling` sweeps thread counts
-/// over selected families and reports the speedup curve; `run_drc_overlap`
-/// diffs the staged pipeline against the legacy barrier schedule.
+/// `"scaling"`, `"backend"`, `threads_used`/`pool_policy`, and `*_s` timing
+/// fields) from the same seeds. `run_scaling` sweeps thread counts over
+/// selected families and reports the speedup curve.
 
 #include <cstdint>
 #include <string>
@@ -59,7 +58,7 @@ struct GroupOutcome {
   std::size_t cross_violations = 0;    ///< cross-member clearance violations
   double runtime_s = 0.0;
   double extend_runtime_s = 0.0;       ///< aggregate extension work time
-  /// Aggregate per-net oracle work (overlapped with extension by default).
+  /// Aggregate per-net oracle work (overlaps extension on >1 thread).
   double drc_overlap_runtime_s = 0.0;
   /// Wall time of the final cross-member clearance query pass.
   double drc_barrier_runtime_s = 0.0;
@@ -116,16 +115,6 @@ struct ScalingPoint {
 struct ScalingCurve {
   std::string family;
   std::vector<ScalingPoint> points;  ///< in `thread_counts` order
-};
-
-/// Barrier-vs-overlapped DRC scheduling comparison for one family (see
-/// pipeline::DrcSchedule): the measured value of the staged pipeline,
-/// bounded per family by the recorded `drc_runtime_s`.
-struct OverlapComparison {
-  std::string family;
-  double barrier_runtime_s = 0.0;     ///< two-phase flow wall time
-  double overlapped_runtime_s = 0.0;  ///< staged-pipeline wall time
-  double speedup = 0.0;               ///< barrier / overlapped
 };
 
 /// Range-tree-vs-grid clearance broadphase comparison for one family (see
@@ -310,18 +299,6 @@ class Suite {
   /// `"scaling"` section for a result document (volatile by definition:
   /// strip_volatile removes the whole section).
   [[nodiscard]] static Json scaling_json(const std::vector<ScalingCurve>& curves);
-
-  /// Rerun `families` once per DRC schedule (Barrier, then Overlapped) and
-  /// report the wall-clock win of the staged pipeline. Quality metrics are
-  /// discarded: they are schedule-invariant by construction (and separately
-  /// enforced by the pipeline equivalence tests).
-  [[nodiscard]] static std::vector<OverlapComparison> run_drc_overlap(
-      const SuiteOptions& base, const std::vector<std::string>& families);
-
-  /// `"drc_overlap"` section for a result document (volatile by definition:
-  /// strip_volatile removes the whole section).
-  [[nodiscard]] static Json drc_overlap_json(
-      const std::vector<OverlapComparison>& comparisons);
 
   /// Route `families` once each, then time a cold whole-board clearance
   /// sweep per forced backend (RangeTree, then Grid) and report the

@@ -8,7 +8,7 @@
 /// cannot share workers across levels. `TaskPool` fixes both:
 ///
 ///  * a fixed set of worker threads lives as long as the pool (constructed
-///    once, reused by every `route_batch`/`route_all`/`Suite::run` call);
+///    once, reused by every `route`/`route_board`/`Suite::run` call);
 ///  * each worker owns a Chase–Lev deque (steal_deque.hpp): tasks spawned
 ///    *by* a worker go to its own deque LIFO, idle workers steal FIFO from
 ///    the others, so uneven task costs — member extension times spread over

@@ -72,7 +72,7 @@ class Layout {
   [[nodiscard]] geom::Box dirty_since(std::uint64_t version) const;
 
   /// RAII routing freeze: recorded mutators throw while any freeze is
-  /// alive. Nests (route_all freezes once per group chain).
+  /// alive. Nests (route_board freezes once per group chain).
   class RoutingFreeze {
    public:
     explicit RoutingFreeze(Layout& l) : l_(&l) {

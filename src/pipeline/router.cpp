@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -188,27 +187,22 @@ void append(std::vector<layout::Violation>& out, std::vector<layout::Violation> 
              std::make_move_iterator(v.end()));
 }
 
-/// Rollback bookkeeping for the board-level strong guarantee. run() only
-/// restores its OWN group on failure; in the multi-group drivers below,
-/// sibling groups that finished before the failing one keep their freshly
-/// extended geometry (every claimer drains before an exception propagates).
-/// A retrying caller would then re-extend already-extended traces and land
-/// on different geometry than a fresh route of the same board — so the
-/// drivers snapshot every member they may touch and restore them all on
-/// the way out.
-struct SavedPath {
-  layout::TraceId id = 0;
-  layout::MemberKind kind = layout::MemberKind::SingleEnded;
-  geom::Polyline primary;
-  geom::Polyline secondary;
-};
+/// Board-level snapshots of member geometry, keyed by member id: the
+/// pristine seeds of a BoardRoute and the rollback snapshots behind the
+/// board-level strong guarantee. run() only restores its OWN group on
+/// failure; in the multi-group drivers below, sibling groups that finished
+/// before the failing one keep their freshly extended geometry (every
+/// claimer drains before an exception propagates). A retrying caller would
+/// then re-extend already-extended traces and land on different geometry
+/// than a fresh route of the same board — so the drivers snapshot every
+/// member they may touch and restore them all on the way out.
+using Snapshots = std::map<layout::TraceId, MemberSeed>;
 
-void save_path(const layout::Layout& layout, layout::TraceId id,
-               layout::MemberKind kind, std::set<layout::TraceId>& seen,
-               std::vector<SavedPath>& out) {
-  if (!seen.insert(id).second) return;
-  SavedPath s;
-  s.id = id;
+/// Record member `id`'s current geometry unless `out` already holds it.
+void snapshot(const layout::Layout& layout, layout::TraceId id, layout::MemberKind kind,
+              Snapshots& out) {
+  if (out.contains(id)) return;
+  MemberSeed s;
   s.kind = kind;
   if (kind == layout::MemberKind::SingleEnded) {
     s.primary = layout.trace(id).path;
@@ -217,19 +211,22 @@ void save_path(const layout::Layout& layout, layout::TraceId id,
     s.primary = pair.positive.path;
     s.secondary = pair.negative.path;
   }
-  out.push_back(std::move(s));
+  out.emplace(id, std::move(s));
 }
 
-void restore_paths(layout::Layout& layout, std::vector<SavedPath>& saved) {
-  for (SavedPath& s : saved) {
-    if (s.kind == layout::MemberKind::SingleEnded) {
-      layout.trace(s.id).path = std::move(s.primary);
-    } else {
-      layout::DiffPair& pair = layout.pair(s.id);
-      pair.positive.path = std::move(s.primary);
-      pair.negative.path = std::move(s.secondary);
-    }
+/// Make `s` member `id`'s geometry again (callers copy or move it in).
+void put_back(layout::Layout& layout, layout::TraceId id, MemberSeed s) {
+  if (s.kind == layout::MemberKind::SingleEnded) {
+    layout.trace(id).path = std::move(s.primary);
+  } else {
+    layout::DiffPair& pair = layout.pair(id);
+    pair.positive.path = std::move(s.primary);
+    pair.negative.path = std::move(s.secondary);
   }
+}
+
+void restore_all(layout::Layout& layout, Snapshots& saved) {
+  for (auto& [id, s] : saved) put_back(layout, id, std::move(s));
 }
 
 /// Everything one group's route reads or writes, geometrically: member
@@ -274,44 +271,7 @@ Router::Router(drc::DesignRules rules, RouterOptions options)
 }
 
 RouteResult Router::route(layout::Layout& layout, std::size_t group_index) const {
-  return run(layout, group_index, 1);
-}
-
-RouteResult Router::route_batch(layout::Layout& layout, std::size_t group_index) const {
   return run(layout, group_index, exec::resolve_threads(options_.threads));
-}
-
-std::vector<RouteResult> Router::route_all(layout::Layout& layout) const {
-  const std::size_t n_groups = layout.groups().size();
-  const std::size_t threads = exec::resolve_threads(options_.threads);
-  std::vector<RouteResult> results(n_groups);
-  // Board-level rollback snapshot. Unconditional — not gated on an armed
-  // fault plan / cancel / deadline — because extension can throw with
-  // nothing armed (no routable area, a meander target below the current
-  // length, pair-restore misalignment): run() restores only the group that
-  // threw, and the strong guarantee callers rely on (Session retry and the
-  // service's drop-bad-edit recovery) covers earlier groups' write-backs
-  // too. Seed paths are short pre-extension geometry, so the copy is tiny
-  // next to routing itself; bench_micro_fault tracks the disarmed overhead.
-  std::set<layout::TraceId> seen;
-  std::vector<SavedPath> saved;
-  std::size_t n_members = 0;
-  for (std::size_t g = 0; g < n_groups; ++g) n_members += layout.groups()[g].members.size();
-  saved.reserve(n_members);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    for (const layout::GroupMember& m : layout.groups()[g].members) {
-      save_path(layout, m.id, m.kind, seen, saved);
-    }
-  }
-  try {
-    std::vector<std::size_t> todo(n_groups);
-    for (std::size_t g = 0; g < n_groups; ++g) todo[g] = g;
-    route_groups(layout, todo, results, threads);
-  } catch (...) {
-    restore_paths(layout, saved);
-    throw;
-  }
-  return results;
 }
 
 Router::TilePlan Router::tile_plan(const layout::Layout& layout) const {
@@ -425,8 +385,8 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   // interleaved mutation would race. Trace-geometry write-backs are not
   // gated — they are the route's own output channel.
   const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
-  // route / route_batch index the board here, once per call; the
-  // multi-group drivers pass the index they built for every group.
+  // route() indexes the board here, once per call; the multi-group drivers
+  // pass the index they built for every group.
   std::optional<layout::ObstacleIndex> own_index;
   if (obstacles == nullptr) obstacles = &own_index.emplace(layout.obstacles());
   const layout::MatchGroup& group = layout.groups()[group_index];
@@ -542,35 +502,19 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
 
   const std::size_t width =
       std::min(std::max<std::size_t>(threads, 1), std::max<std::size_t>(n, 1));
-  const bool overlapped = options_.drc_schedule == DrcSchedule::Overlapped;
   try {
-    if (width <= 1 || n <= 1) {
-      // Serial: chains inline in member order (or phase-by-phase for the
-      // barrier comparator). Stages of different members are independent,
-      // so both orders produce identical results; only timings move.
-      if (overlapped) {
-        for (std::size_t i = 0; i < n; ++i) {
-          extend_stage(i);
-          writeback_stage(i);
-          drc_stage(i);
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) extend_stage(i);
-        for (std::size_t i = 0; i < n; ++i) writeback_stage(i);
-        for (std::size_t i = 0; i < n; ++i) drc_stage(i);
+    if (width <= 1) {
+      // Serial reference: each member's chain inline, in member order.
+      for (std::size_t i = 0; i < n; ++i) {
+        extend_stage(i);
+        writeback_stage(i);
+        drc_stage(i);
       }
-    } else if (!overlapped) {
-      // Legacy two-phase flow: every member extends before the first oracle
-      // check runs; the whole DRC cost is tail latency after the join.
-      exec::parallel_for_dynamic(pool(), n, width, extend_stage);
-      for (std::size_t i = 0; i < n; ++i) writeback_stage(i);
-      for (std::size_t i = 0; i < n; ++i) drc_stage(i);
     } else {
-      // The staged graph: at most `width` member chains in flight, so the
-      // claimer cap of the two-phase fan-out carries over. Each chain's
-      // last stage claims and launches the next unrouted member; a chain
-      // that throws is short-circuited by run_chain, so the failed member
-      // never queues its DRC stage.
+      // The staged graph: at most `width` member chains in flight. Each
+      // chain's last stage claims and launches the next unrouted member; a
+      // chain that throws is short-circuited by run_chain, so the failed
+      // member never queues its DRC stage.
       exec::TaskGroup task_group(pool());
       std::atomic<std::size_t> next{width};
       std::function<void(std::size_t)> launch = [&](std::size_t i) {
@@ -682,23 +626,31 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
 }
 
 BoardRoute Router::route_board(layout::Layout& layout) const {
+  const std::size_t n_groups = layout.groups().size();
   BoardRoute board;
-  for (std::size_t g = 0; g < layout.groups().size(); ++g) {
+  // The pristine seeds are also the board-level rollback snapshot.
+  // Unconditional — not gated on an armed fault plan / cancel / deadline —
+  // because extension can throw with nothing armed (no routable area, a
+  // meander target below the current length, pair-restore misalignment):
+  // run() restores only the group that threw, and the strong guarantee
+  // callers rely on (Session retry and the service's drop-bad-edit recovery)
+  // covers earlier groups' write-backs too. Seed paths are short
+  // pre-extension geometry, so the copy is tiny next to routing itself;
+  // bench_micro_fault tracks the disarmed overhead.
+  for (std::size_t g = 0; g < n_groups; ++g) {
     board.rerouted_groups.push_back(g);
     for (const layout::GroupMember& m : layout.groups()[g].members) {
-      MemberSeed seed;
-      seed.kind = m.kind;
-      if (m.kind == layout::MemberKind::SingleEnded) {
-        seed.primary = layout.trace(m.id).path;
-      } else {
-        const layout::DiffPair& pair = layout.pair(m.id);
-        seed.primary = pair.positive.path;
-        seed.secondary = pair.negative.path;
-      }
-      board.seeds.emplace(m.id, std::move(seed));
+      snapshot(layout, m.id, m.kind, board.seeds);
     }
   }
-  board.results = route_all(layout);
+  board.results.resize(n_groups);
+  try {
+    route_groups(layout, board.rerouted_groups, board.results,
+                 exec::resolve_threads(options_.threads));
+  } catch (...) {
+    restore_all(layout, board.seeds);
+    throw;
+  }
   board.version = layout.version();
   return board;
 }
@@ -809,51 +761,29 @@ BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior,
   // its pristine seed. Members the prior route never saw are snapshotted
   // here: un-routed geometry *is* pristine.
   const auto restore = [&](layout::TraceId id, layout::MemberKind kind) {
-    auto it = next.seeds.find(id);
+    const auto it = next.seeds.find(id);
     if (it == next.seeds.end()) {
-      MemberSeed seed;
-      seed.kind = kind;
-      if (kind == layout::MemberKind::SingleEnded) {
-        seed.primary = layout.trace(id).path;
-      } else {
-        const layout::DiffPair& pair = layout.pair(id);
-        seed.primary = pair.positive.path;
-        seed.secondary = pair.negative.path;
-      }
-      next.seeds.emplace(id, std::move(seed));
-      return;
-    }
-    if (it->second.kind == layout::MemberKind::SingleEnded) {
-      layout.trace(id).path = it->second.primary;
+      snapshot(layout, id, kind, next.seeds);
     } else {
-      layout::DiffPair& pair = layout.pair(id);
-      pair.positive.path = it->second.primary;
-      pair.negative.path = it->second.secondary;
+      put_back(layout, id, it->second);
     }
   };
   // Snapshot every member the seed-restore below or the group re-runs may
   // touch (the seed restore is itself a layout mutation): on failure the
   // caller gets its pre-call geometry back, not a half-restored mix.
   // Unconditional even with no fault source armed — a bad edit can make a
-  // rerouted member throw from extension itself (see route_all) and the
+  // rerouted member throw from extension itself (see route_board) and the
   // seed restore has already mutated the layout by then. Cost is bounded
   // by the affected groups, i.e. the geometry being rerouted anyway.
-  std::set<layout::TraceId> seen;
-  std::vector<SavedPath> saved;
-  std::size_t n_save = 0;
-  for (const std::size_t g : next.rerouted_groups) {
-    if (g < prior.results.size()) n_save += prior.results[g].group.members.size();
-    n_save += layout.groups()[g].members.size();
-  }
-  saved.reserve(n_save);
+  Snapshots saved;
   for (const std::size_t g : next.rerouted_groups) {
     if (g < prior.results.size()) {
       for (const MemberReport& m : prior.results[g].group.members) {
-        save_path(layout, m.id, m.kind, seen, saved);
+        snapshot(layout, m.id, m.kind, saved);
       }
     }
     for (const layout::GroupMember& m : layout.groups()[g].members) {
-      save_path(layout, m.id, m.kind, seen, saved);
+      snapshot(layout, m.id, m.kind, saved);
     }
   }
 
@@ -869,12 +799,12 @@ BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior,
       }
     }
 
-    // Re-run only the affected groups on route_all's executor; untouched
+    // Re-run only the affected groups on route_board's executor; untouched
     // groups keep their spliced prior results verbatim.
     route_groups(layout, next.rerouted_groups, next.results,
                  exec::resolve_threads(options_.threads));
   } catch (...) {
-    restore_paths(layout, saved);
+    restore_all(layout, saved);
     throw;
   }
   return next;

@@ -8,29 +8,30 @@
 /// pair restoration for differential members (dtw/*), group-level Eq. 19
 /// error accounting, and the final DRC oracle sweep (layout/drc_checker).
 ///
-/// One `route()` call length-matches a group of a layout and returns
-/// per-net diagnostics; `route_batch()` runs the same flow with independent
-/// nets extended on the persistent work-stealing executor (exec/task_pool);
-/// `route_all()` batches every group of a layout into one task fan-out so
-/// small groups never serialize behind each other.
+/// Two entry points: `route()` length-matches one group of a layout and
+/// returns per-net diagnostics; `route_board()` routes every group of a
+/// layout as one task fan-out (so small groups never serialize behind each
+/// other) and returns the package `reroute()` incrementally updates. Both
+/// run on the persistent work-stealing executor (exec/task_pool) at
+/// `RouterOptions::threads`; `threads = 1` is the serial reference.
 ///
-/// Within one group the flow is a staged task graph, not two serial phases:
-/// each member is an extend → write-back → per-net DRC chain
-/// (exec::TaskGroup::run_chain), so one member's rule/obstacle/containment
-/// checks run while other members are still extending, and each member's
-/// sampled segments land in an incremental layout::ClearanceIndex as its
-/// geometry is written back. Only the cross-member clearance query pass
-/// remains as a barrier after the join (see DrcSchedule). All paths produce
-/// identical results by construction: every net is extended on a private
-/// copy of its geometry (nets of one group own disjoint routable areas, so
-/// they are independent), and every report, violation list and index slot
-/// is written at its member-order index, so the outcome — including
-/// violation order — is independent of scheduling.
+/// Within one group each member is an extend → write-back → per-net DRC
+/// chain: serially these run member by member, in member order; threaded
+/// they are task chains (exec::TaskGroup::run_chain), so one member's
+/// rule/obstacle/containment checks run while other members are still
+/// extending. Each member's sampled segments land in an incremental
+/// layout::ClearanceIndex as its geometry is written back, and the
+/// cross-member clearance query pass runs once after the join. Every thread
+/// count produces identical results by construction: every net is extended
+/// on a private copy of its geometry (nets of one group own disjoint
+/// routable areas, so they are independent), and every report, violation
+/// list and index slot is written at its member-order index, so the outcome
+/// — including violation order — is independent of scheduling.
 ///
 /// Obstacle clearance (the per-net DRC stage and the skew-compensation
 /// oracle) goes through one layout::ObstacleIndex per call — built once per
-/// route()/route_batch() and once per route_all()/reroute() for all their
-/// groups — so a check scans the obstacles near its trace, not the board.
+/// route() and once per route_board()/reroute() for all their groups — so a
+/// check scans the obstacles near its trace, not the board.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,21 +57,6 @@ namespace lmr::pipeline {
 enum class Engine {
   DpMsdtw,    ///< the paper's flow: segment DP + MSDTW medians (default)
   AidtStyle,  ///< greedy fixed-geometry baseline (the Table I comparator)
-};
-
-/// Scheduling of the DRC oracle relative to member extension.
-enum class DrcSchedule {
-  /// Staged pipeline (default): every member runs an
-  /// extend → write-back → per-net DRC chain on the executor, so member B
-  /// extends while member A's rule/obstacle/containment checks run and its
-  /// segments land in the incremental clearance index. Only the cross-member
-  /// clearance query pass remains as a barrier after the join.
-  Overlapped,
-  /// Legacy two-phase comparator: every member finishes extending before the
-  /// first oracle check runs; the whole DRC sweep is tail latency. Kept so
-  /// tests and `bench_micro_drc_overlap` can diff the two paths — they must
-  /// produce identical violation sets in identical order.
-  Barrier,
 };
 
 /// Per-member outcome.
@@ -108,11 +94,9 @@ struct RouterOptions {
   Engine engine = Engine::DpMsdtw; ///< baseline selection
   bool run_drc = true;             ///< final oracle sweep after matching
   layout::DrcCheckOptions drc;     ///< oracle tolerances
-  /// Overlap per-net DRC with extension (default) or run the legacy
-  /// end-of-run sweep. Result-identical by construction; only timings move.
-  DrcSchedule drc_schedule = DrcSchedule::Overlapped;
-  /// Parallelism cap for route_batch / route_all (claimer count per
-  /// fan-out); 0 = hardware concurrency (exec::resolve_threads).
+  /// Parallelism cap for route / route_board / reroute (claimer count per
+  /// fan-out); 0 = hardware concurrency (exec::resolve_threads), 1 = the
+  /// serial reference path (no executor at all).
   std::size_t threads = 0;
   /// Executor running the fan-out. Non-owning; nullptr lets the Router
   /// pick: the lazy shared singleton when `threads == 0`, otherwise a
@@ -131,7 +115,7 @@ struct RouterOptions {
   /// test per poll.
   fault::CancelToken cancel;
   /// Per-group route budget in seconds; 0 = none. Each `run` (one group's
-  /// route, whether via route()/route_all()/reroute()) derives a deadline
+  /// route, whether via route()/route_board()/reroute()) derives a deadline
   /// token at entry; expiry surfaces as fault::RouteTimeout with the same
   /// layout-untouched guarantee. Composes with `cancel`.
   double deadline_s = 0.0;
@@ -158,7 +142,8 @@ struct NetResult {
   [[nodiscard]] bool drc_clean() const { return violations.empty(); }
 };
 
-/// Whole-run outcome of `route()` / `route_batch()`.
+/// One group's outcome: what `route()` returns, and one entry per group of
+/// `BoardRoute::results`.
 struct RouteResult {
   GroupReport group;            ///< Eq. 19 error metrics + member reports
   std::vector<NetResult> nets;  ///< one entry per group member
@@ -169,15 +154,13 @@ struct RouteResult {
   /// exceeds wall time when members run concurrently).
   double extend_runtime_s = 0.0;
   /// Aggregate per-net oracle work time (rules / obstacles / containment +
-  /// clearance-index inserts). Under `DrcSchedule::Overlapped` this runs
-  /// concurrently with other members' extension instead of after the join.
+  /// clearance-index inserts). On more than one thread this overlaps other
+  /// members' extension instead of running after the join.
   double drc_overlap_runtime_s = 0.0;
-  /// Wall time of the final cross-member clearance query pass — the only
-  /// part of the oracle that is still a barrier.
+  /// Wall time of the final cross-member clearance query pass — the one
+  /// part of the oracle that runs after every member has joined.
   double drc_barrier_runtime_s = 0.0;
-  /// Total oracle work: drc_overlap_runtime_s + drc_barrier_runtime_s. No
-  /// longer pure tail latency when the overlapped schedule hides the per-net
-  /// share behind extension.
+  /// Total oracle work: drc_overlap_runtime_s + drc_barrier_runtime_s.
   double drc_runtime_s = 0.0;
   /// Everything this group's route read or produced, geometrically: the
   /// union of member routable-area bboxes and pre-/post-route path bboxes.
@@ -211,7 +194,7 @@ struct BoardRoute {
   /// lists that do not connect this version to the layout's current one.
   std::uint64_t version = 0;
   /// One result per group, in group order — bit-identical (geometry and
-  /// violations) to a fresh `route_all` of the same board.
+  /// violations) to a fresh `route_board` of the same board.
   std::vector<RouteResult> results;
   /// Pristine pre-route geometry per member id (see MemberSeed).
   std::map<layout::TraceId, MemberSeed> seeds;
@@ -230,29 +213,23 @@ class Router {
   /// Throws std::invalid_argument on inconsistent rules.
   explicit Router(drc::DesignRules rules, RouterOptions options = {});
 
-  /// Match group `group_index` of `layout` sequentially. Throws
-  /// std::out_of_range on a bad index and std::invalid_argument when a
-  /// member lacks a routable area.
+  /// Match group `group_index` of `layout`, with independent nets extended
+  /// across up to `options.threads` claimers on the persistent executor (no
+  /// per-call thread spawning). Bit-identical at every thread count; only the
+  /// timing fields differ. Throws std::out_of_range on a bad index and
+  /// std::invalid_argument when a member lacks a routable area; a throw
+  /// leaves the layout untouched.
   RouteResult route(layout::Layout& layout, std::size_t group_index = 0) const;
-
-  /// Same flow with independent nets extended across up to
-  /// `options.threads` claimers on the persistent executor (no per-call
-  /// thread spawning). Bit-identical trace geometry to `route()`; only the
-  /// timing fields differ.
-  RouteResult route_batch(layout::Layout& layout, std::size_t group_index = 0) const;
 
   /// Route *every* group of `layout` as one task batch: groups and their
   /// members share the same executor, so a board of many small groups
-  /// saturates the pool instead of serializing group by group. Returns one
-  /// RouteResult per group, in group order, bit-identical to calling
-  /// `route()` per group. Requires what every generated board satisfies:
-  /// no trace belongs to two groups (members are written back
-  /// concurrently).
-  std::vector<RouteResult> route_all(layout::Layout& layout) const;
-
-  /// `route_all` plus the session bookkeeping: snapshot every member's
-  /// pristine geometry first, stamp the layout version, return the package
-  /// `reroute` incrementally updates.
+  /// saturates the pool instead of serializing group by group. Snapshots
+  /// every member's pristine geometry first (the seeds, which double as the
+  /// rollback snapshot: a throw restores them all), stamps the layout
+  /// version, and returns the package `reroute` incrementally updates. One
+  /// result per group, in group order, bit-identical to calling `route()`
+  /// per group. Requires what every generated board satisfies: no trace
+  /// belongs to two groups (members are written back concurrently).
   BoardRoute route_board(layout::Layout& layout) const;
 
   /// Incremental re-route: prove which groups the recorded edits can touch
@@ -261,7 +238,7 @@ class Router {
   /// radius misses its cached domain bbox), restore those groups' members
   /// to their pristine seeds, re-run only them on the same executor, and
   /// splice the fresh results over `prior`'s. The result is bit-identical —
-  /// trace geometry and violation sets — to a fresh `route_all` of the
+  /// trace geometry and violation sets — to a fresh `route_board` of the
   /// edited board. `deltas` must be exactly the journal suffix connecting
   /// `prior.version` to `layout.version()`: stale, reordered or truncated
   /// edit lists throw std::invalid_argument.
@@ -316,7 +293,7 @@ class Router {
   RouteResult run(layout::Layout& layout, std::size_t group_index,
                   std::size_t threads,
                   const layout::ObstacleIndex* obstacles = nullptr) const;
-  /// Group fan-out behind route_all/reroute: index the board's obstacles
+  /// Group fan-out behind route_board/reroute: index the board's obstacles
   /// once, then run every group of `todo` on the executor. Writes results[g]
   /// for every g in todo (index-addressed — scheduling cannot change
   /// output).
@@ -329,7 +306,7 @@ class Router {
   drc::DesignRules rules_;
   RouterOptions options_;
   /// Owns-or-borrows the executor per the exec 0/1/N convention, lazily
-  /// (route()-only Routers never spawn a thread) and reused across calls.
+  /// (`threads = 1` Routers never spawn a thread) and reused across calls.
   mutable exec::PoolHandle pool_handle_;
 };
 

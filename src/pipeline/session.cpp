@@ -146,7 +146,6 @@ void Session::finish_reroute(ApplyOutcome& outcome, ApplyMode mode) {
 
 Router Session::degraded_router() const {
   RouterOptions opts = router_.options();
-  opts.drc_schedule = DrcSchedule::Barrier;
   opts.threads = 1;
   opts.pool = nullptr;
   return Router(router_.rules(), std::move(opts));

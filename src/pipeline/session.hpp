@@ -31,13 +31,13 @@ namespace lmr::pipeline {
 
 /// How a (re-)route dispatched by the session runs. `Degraded` is the
 /// serving tier's last retry rung before quarantine: a temporary Router
-/// pinned to DrcSchedule::Barrier on one thread with no external pool — the
-/// most conservative schedule available. Results are schedule- and
-/// thread-invariant by construction, so a degraded reroute converges to the
-/// same geometry/violations as a normal one; only latency differs.
+/// pinned to the serial path (one thread, no external pool), which touches
+/// no executor at all. Results are thread-invariant by construction, so a
+/// degraded reroute converges to the same geometry/violations as a normal
+/// one; only latency differs.
 enum class ApplyMode : std::uint8_t {
-  Normal,    ///< the session's own Router (configured schedule/threads)
-  Degraded,  ///< Barrier schedule, single thread, no shared pool
+  Normal,    ///< the session's own Router (configured threads/pool)
+  Degraded,  ///< single thread, no shared pool
 };
 
 /// What one `apply()` did, for latency accounting and the
@@ -178,8 +178,8 @@ class Session {
   /// and resync share the commit path; throws propagate with route_ stale.
   void finish_reroute(ApplyOutcome& outcome, ApplyMode mode);
 
-  /// The Degraded rung's executor: same rules and options but pinned to
-  /// DrcSchedule::Barrier, one thread, no shared pool.
+  /// The Degraded rung's executor: same rules and options but pinned to one
+  /// thread and no shared pool.
   [[nodiscard]] Router degraded_router() const;
 
   Router router_;

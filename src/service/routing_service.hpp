@@ -26,7 +26,7 @@
 /// and the board moves on — while runtime failures (injected faults,
 /// deadline timeouts, cancellations) are *retryable*. Retries walk a
 /// degradation ladder: up to `max_attempts` tries per work item, the last
-/// one on the Session's Degraded mode (Barrier schedule, one thread), with
+/// one on the Session's Degraded mode (one thread, no shared pool), with
 /// capped exponential backoff accounted on a virtual clock
 /// (`backoff_virtual_s` — no wall-clock sleeping, so drains stay fast and
 /// results carry no timing nondeterminism). A board that exhausts the
@@ -68,7 +68,7 @@ namespace lmr::service {
 
 using BoardId = std::string;
 
-/// Service-level knobs. Router-level options (engine, DRC schedule,
+/// Service-level knobs. Router-level options (engine, DRC tolerances,
 /// deadline, …) stay per-board: they are passed to `add_board`.
 struct ServiceOptions {
   /// Thread-count convention shared with Router/Suite: 0 = hardware, 1 =
@@ -87,7 +87,7 @@ struct ServiceOptions {
   std::size_t queue_limit = 0;
   /// Attempts per work item (initial route or one coalesced batch) before
   /// the board is quarantined. 1 = no retry. When > 1, the final attempt
-  /// runs in Session's Degraded mode (Barrier schedule, single thread).
+  /// runs in Session's Degraded mode (single thread, no shared pool).
   std::uint32_t max_attempts = 3;
   /// Capped exponential backoff between retries, accounted on a virtual
   /// clock only (`BoardStats::backoff_virtual_s`); the service never

@@ -51,24 +51,41 @@ TEST(StripVolatile, PythonTwinIsByteIdenticalOnTrackedResults) {
 }
 
 TEST(StripVolatile, DrcOverlapSectionIsVolatile) {
+  // A group report's DRC timing split (extension, DRC overlapped with other
+  // members' extension, and the post-join barrier pass) is wall clock on
+  // this machine: every `*_s` key strips by its suffix, while the matching
+  // outcome beside it is kept.
   Json doc = Json::object();
   doc["schema"] = "test";
-  Json cmp = Json::object();
-  cmp["family"] = "large_group";
-  cmp["barrier_runtime_s"] = 1.0;
-  cmp["overlapped_runtime_s"] = 0.5;
-  cmp["speedup"] = 2.0;
-  Json section = Json::array();
-  section.push_back(std::move(cmp));
-  doc["drc_overlap"] = std::move(section);
+  Json group = Json::object();
+  group["family"] = "large_group";
+  group["matched"] = true;
+  group["patterns"] = 12;
+  group["extend_runtime_s"] = 0.25;
+  group["drc_overlap_runtime_s"] = 0.0625;
+  group["drc_barrier_runtime_s"] = 0.125;
+  group["drc_runtime_s"] = 0.1875;
+  Json groups = Json::array();
+  groups.push_back(std::move(group));
+  doc["groups"] = std::move(groups);
   doc["extend_runtime_s"] = 0.25;
   doc["drc_barrier_runtime_s"] = 0.125;
 
   const Json stripped = strip_volatile(doc);
-  EXPECT_EQ(stripped.find("drc_overlap"), nullptr);
   EXPECT_EQ(stripped.find("extend_runtime_s"), nullptr);
   EXPECT_EQ(stripped.find("drc_barrier_runtime_s"), nullptr);
   EXPECT_NE(stripped.find("schema"), nullptr);
+  const Json* kept_groups = stripped.find("groups");
+  ASSERT_NE(kept_groups, nullptr);
+  ASSERT_EQ(kept_groups->size(), 1u);
+  const Json& kept = kept_groups->items().front();
+  EXPECT_EQ(kept.find("extend_runtime_s"), nullptr);
+  EXPECT_EQ(kept.find("drc_overlap_runtime_s"), nullptr);
+  EXPECT_EQ(kept.find("drc_barrier_runtime_s"), nullptr);
+  EXPECT_EQ(kept.find("drc_runtime_s"), nullptr);
+  EXPECT_NE(kept.find("family"), nullptr);
+  EXPECT_NE(kept.find("matched"), nullptr);
+  EXPECT_NE(kept.find("patterns"), nullptr);
 }
 
 TEST(StripVolatile, BackendSectionIsVolatile) {

@@ -318,15 +318,13 @@ TEST(CompensateSkew, NoLegalHostLeavesPathUntouched) {
 
 /// Satellite oracle helper: route a whole scenario family end to end
 /// (merge -> extend -> restore for every differential member) and assert the
-/// sub-trace oracle accepts every case — under the given DRC schedule and
-/// parallelism, which must not change the verdict.
-void expect_family_restore_clean(const std::string& family,
-                                 pipeline::DrcSchedule schedule, std::size_t threads) {
+/// sub-trace oracle accepts every case — at the given parallelism, which
+/// must not change the verdict.
+void expect_family_restore_clean(const std::string& family, std::size_t threads) {
   bench::SuiteOptions opts;
   opts.smoke = false;  // the full family, including Table I case 5
   opts.families = {family};
   opts.threads = threads;
-  opts.router.drc_schedule = schedule;
   const bench::Suite suite(opts);
   const bench::SuiteResult result = suite.run();
   ASSERT_FALSE(result.cases.empty());
@@ -337,29 +335,13 @@ void expect_family_restore_clean(const std::string& family,
 }
 
 TEST(PairRestoreOracle, PairCorridorsOverlappedSerial) {
-  expect_family_restore_clean("pair_corridors", pipeline::DrcSchedule::Overlapped, 1);
+  expect_family_restore_clean("pair_corridors", 1);
 }
 TEST(PairRestoreOracle, PairCorridorsOverlappedThreaded) {
-  expect_family_restore_clean("pair_corridors", pipeline::DrcSchedule::Overlapped, 4);
+  expect_family_restore_clean("pair_corridors", 4);
 }
-TEST(PairRestoreOracle, PairCorridorsBarrierSerial) {
-  expect_family_restore_clean("pair_corridors", pipeline::DrcSchedule::Barrier, 1);
-}
-TEST(PairRestoreOracle, PairCorridorsBarrierThreaded) {
-  expect_family_restore_clean("pair_corridors", pipeline::DrcSchedule::Barrier, 4);
-}
-TEST(PairRestoreOracle, Table1OverlappedSerial) {
-  expect_family_restore_clean("table1", pipeline::DrcSchedule::Overlapped, 1);
-}
-TEST(PairRestoreOracle, Table1OverlappedThreaded) {
-  expect_family_restore_clean("table1", pipeline::DrcSchedule::Overlapped, 4);
-}
-TEST(PairRestoreOracle, Table1BarrierSerial) {
-  expect_family_restore_clean("table1", pipeline::DrcSchedule::Barrier, 1);
-}
-TEST(PairRestoreOracle, Table1BarrierThreaded) {
-  expect_family_restore_clean("table1", pipeline::DrcSchedule::Barrier, 4);
-}
+TEST(PairRestoreOracle, Table1OverlappedSerial) { expect_family_restore_clean("table1", 1); }
+TEST(PairRestoreOracle, Table1OverlappedThreaded) { expect_family_restore_clean("table1", 4); }
 
 TEST(FullRoundTrip, MergeExtendRestoreIsDrcClean) {
   // The MSDTW pipeline end to end on the decoupled case: merge, length-match

@@ -176,37 +176,31 @@ TEST(ClearanceBackend, AutoFlipsToGridAtThreshold) {
 }
 
 TEST(ClearanceBackend, RoutesIdenticalAcrossBackendsOnEverySmokeFamily) {
-  for (const pipeline::DrcSchedule schedule :
-       {pipeline::DrcSchedule::Barrier, pipeline::DrcSchedule::Overlapped}) {
-    for (const scenario::Family& fam : scenario::standard_families(true)) {
-      for (const scenario::FamilyCase& fc : fam.cases) {
-        scenario::Scenario a = scenario::materialize(fc);
-        scenario::Scenario b = scenario::materialize(fc);
+  for (const scenario::Family& fam : scenario::standard_families(true)) {
+    for (const scenario::FamilyCase& fc : fam.cases) {
+      scenario::Scenario a = scenario::materialize(fc);
+      scenario::Scenario b = scenario::materialize(fc);
 
-        pipeline::RouterOptions opts;
-        opts.drc_schedule = schedule;
-        opts.extender.l_disc = 0.5;
-        opts.extender.max_width_steps = 24;
-        if (a.spec.extender_tolerance > 0.0) {
-          opts.extender.tolerance = a.spec.extender_tolerance;
-        }
-        if (a.pair_rule_set.size() > 1) opts.pair_rule_set = a.pair_rule_set;
-
-        pipeline::RouterOptions tree_opts = opts;
-        tree_opts.clearance_backend = ClearanceBackend::RangeTree;
-        pipeline::RouterOptions grid_opts = opts;
-        grid_opts.clearance_backend = ClearanceBackend::Grid;
-
-        const pipeline::BoardRoute ra =
-            pipeline::Router(a.rules, tree_opts).route_board(a.layout);
-        const pipeline::BoardRoute rb =
-            pipeline::Router(b.rules, grid_opts).route_board(b.layout);
-        std::string why;
-        EXPECT_TRUE(pipeline::routes_equivalent(a.layout, ra, b.layout, rb, &why))
-            << fam.name << "/" << fc.spec.name << " schedule "
-            << (schedule == pipeline::DrcSchedule::Barrier ? "barrier" : "overlapped")
-            << ": " << why;
+      pipeline::RouterOptions opts;
+      opts.extender.l_disc = 0.5;
+      opts.extender.max_width_steps = 24;
+      if (a.spec.extender_tolerance > 0.0) {
+        opts.extender.tolerance = a.spec.extender_tolerance;
       }
+      if (a.pair_rule_set.size() > 1) opts.pair_rule_set = a.pair_rule_set;
+
+      pipeline::RouterOptions tree_opts = opts;
+      tree_opts.clearance_backend = ClearanceBackend::RangeTree;
+      pipeline::RouterOptions grid_opts = opts;
+      grid_opts.clearance_backend = ClearanceBackend::Grid;
+
+      const pipeline::BoardRoute ra =
+          pipeline::Router(a.rules, tree_opts).route_board(a.layout);
+      const pipeline::BoardRoute rb =
+          pipeline::Router(b.rules, grid_opts).route_board(b.layout);
+      std::string why;
+      EXPECT_TRUE(pipeline::routes_equivalent(a.layout, ra, b.layout, rb, &why))
+          << fam.name << "/" << fc.spec.name << ": " << why;
     }
   }
 }

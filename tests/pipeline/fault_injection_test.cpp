@@ -70,11 +70,11 @@ TEST(FaultInjection, ExtendFaultRollsBackAndRetrySucceeds) {
 }
 
 TEST(FaultInjection, BoardRouteRollsBackSiblingGroupsOnFault) {
-  // Board-level strong guarantee: route_all runs groups in parallel, and
+  // Board-level strong guarantee: route_board runs groups in parallel, and
   // Router::run's rollback only covers the group that threw. Sibling
   // groups that finished before the fault propagates must ALSO be
   // restored — otherwise a retry re-extends already-extended traces and
-  // diverges from a fresh route. Regression test for the route_all /
+  // diverges from a fresh route. Regression test for the route_board /
   // reroute snapshot-restore wrapper; pin threads > 1 so siblings really
   // do complete while group 0 is dying.
   scenario::EditStorm storm =

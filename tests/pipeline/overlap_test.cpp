@@ -10,10 +10,11 @@
 #include "workload/table1_cases.hpp"
 
 /// Tests of the staged extend → write-back → per-net-DRC pipeline: the
-/// overlapped schedule must be observationally identical to the legacy
-/// barrier schedule — same geometry, same violations in the same order —
-/// on every scenario family and at every thread count, and a chain that
-/// throws mid-graph must leave the layout untouched.
+/// threaded task graph must be observationally identical to the serial
+/// reference (`threads = 1`, member chains inline in member order) — same
+/// geometry, same violations in the same order — on every scenario family
+/// and at every thread count, and a chain that throws mid-graph must leave
+/// the layout untouched.
 
 namespace lmr::pipeline {
 namespace {
@@ -78,43 +79,36 @@ void expect_identical_geometry(const layout::Layout& a, const layout::Layout& b,
   }
 }
 
-/// Overlapped vs barrier on every smoke scenario family, including `table1`
-/// whose dense diff cases carry real (expected) oracle violations — the
-/// violation *sets and orders* must match, not just their counts.
-TEST(PipelineOverlap, MatchesBarrierOnAllScenarioFamilies) {
+/// route_board at 4 threads vs the serial reference on every smoke scenario
+/// family, including `table1` whose dense diff cases carry real (expected)
+/// oracle violations — the violation *sets and orders* must match, not just
+/// their counts.
+TEST(PipelineOverlap, ThreadedMatchesSerialOnAllScenarioFamilies) {
   for (const std::string& fam_name : scenario::family_names()) {
     const scenario::Family fam = scenario::family(fam_name, /*smoke=*/true);
     for (std::size_t c = 0; c < fam.cases.size(); ++c) {
-      scenario::Scenario barrier_sc = scenario::materialize(fam.cases[c]);
+      scenario::Scenario serial_sc = scenario::materialize(fam.cases[c]);
       RouterOptions opts = bench_options();
-      if (barrier_sc.spec.extender_tolerance > 0.0) {
-        opts.extender.tolerance = barrier_sc.spec.extender_tolerance;
+      if (serial_sc.spec.extender_tolerance > 0.0) {
+        opts.extender.tolerance = serial_sc.spec.extender_tolerance;
       }
-      if (barrier_sc.pair_rule_set.size() > 1) {
-        opts.pair_rule_set = barrier_sc.pair_rule_set;
+      if (serial_sc.pair_rule_set.size() > 1) {
+        opts.pair_rule_set = serial_sc.pair_rule_set;
       }
-      opts.drc_schedule = DrcSchedule::Barrier;
       opts.threads = 1;
-      const std::vector<RouteResult> reference =
-          Router(barrier_sc.rules, opts).route_all(barrier_sc.layout);
+      const BoardRoute reference = Router(serial_sc.rules, opts).route_board(serial_sc.layout);
 
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        scenario::Scenario sc = scenario::materialize(fam.cases[c]);
-        RouterOptions oopts = opts;
-        oopts.drc_schedule = DrcSchedule::Overlapped;
-        oopts.threads = threads;
-        const std::vector<RouteResult> overlapped =
-            Router(sc.rules, oopts).route_all(sc.layout);
+      scenario::Scenario sc = scenario::materialize(fam.cases[c]);
+      opts.threads = 4;
+      const BoardRoute threaded = Router(sc.rules, opts).route_board(sc.layout);
 
-        const std::string what =
-            fam_name + "/case" + std::to_string(c) + "/t" + std::to_string(threads);
-        ASSERT_EQ(overlapped.size(), reference.size()) << what;
-        for (std::size_t g = 0; g < overlapped.size(); ++g) {
-          expect_identical_results(overlapped[g], reference[g],
-                                   what + "/g" + std::to_string(g));
-        }
-        expect_identical_geometry(sc.layout, barrier_sc.layout, what);
+      const std::string what = fam_name + "/case" + std::to_string(c);
+      ASSERT_EQ(threaded.results.size(), reference.results.size()) << what;
+      for (std::size_t g = 0; g < threaded.results.size(); ++g) {
+        expect_identical_results(threaded.results[g], reference.results[g],
+                                 what + "/g" + std::to_string(g));
       }
+      expect_identical_geometry(sc.layout, serial_sc.layout, what);
     }
   }
 }
@@ -122,7 +116,7 @@ TEST(PipelineOverlap, MatchesBarrierOnAllScenarioFamilies) {
 /// A board where exactly one member's extension throws (its initial length
 /// already exceeds the group target): sibling chains have extended and
 /// written back by then, so the rollback must restore *their* geometry too
-/// — the layout stays untouched at every thread count and schedule.
+/// — the layout stays untouched at every thread count.
 TEST(PipelineOverlap, PartiallyFailedGroupLeavesLayoutUntouched) {
   const auto make_board = [](drc::DesignRules& rules) {
     layout::Layout l;
@@ -151,28 +145,21 @@ TEST(PipelineOverlap, PartiallyFailedGroupLeavesLayoutUntouched) {
     return l;
   };
 
-  for (const DrcSchedule schedule : {DrcSchedule::Overlapped, DrcSchedule::Barrier}) {
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      drc::DesignRules rules;
-      layout::Layout l = make_board(rules);
-      const layout::Layout before = l;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    drc::DesignRules rules;
+    layout::Layout l = make_board(rules);
+    const layout::Layout before = l;
 
-      RouterOptions opts;
-      opts.threads = threads;
-      opts.drc_schedule = schedule;
-      const Router router(rules, opts);
-      const std::string what = std::string(schedule == DrcSchedule::Overlapped
-                                               ? "overlapped"
-                                               : "barrier") +
-                               "/t" + std::to_string(threads);
-      EXPECT_THROW((void)router.route_batch(l), std::invalid_argument) << what;
-      expect_identical_geometry(before, l, what);
-    }
+    RouterOptions opts;
+    opts.threads = threads;
+    const Router router(rules, opts);
+    const std::string what = "t" + std::to_string(threads);
+    EXPECT_THROW((void)router.route(l), std::invalid_argument) << what;
+    expect_identical_geometry(before, l, what);
   }
 }
 
-/// The overlapped pipeline is deterministic across thread counts on a board
+/// The staged pipeline is deterministic across thread counts on a board
 /// with genuine violations: identical geometry and identical violation
 /// sequences, not merely equal counts.
 TEST(PipelineOverlap, DeterministicViolationsAcrossThreadCounts) {
@@ -180,13 +167,13 @@ TEST(PipelineOverlap, DeterministicViolationsAcrossThreadCounts) {
   RouterOptions ref_opts = bench_options();
   ref_opts.threads = 1;
   const RouteResult reference =
-      Router(reference_case.rules, ref_opts).route_batch(reference_case.layout);
+      Router(reference_case.rules, ref_opts).route(reference_case.layout);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     auto c = workload::table1_case(5);
     RouterOptions opts = bench_options();
     opts.threads = threads;
-    const RouteResult res = Router(c.rules, opts).route_batch(c.layout);
+    const RouteResult res = Router(c.rules, opts).route(c.layout);
     expect_identical_results(res, reference, "t" + std::to_string(threads));
     expect_identical_geometry(reference_case.layout, c.layout,
                               "t" + std::to_string(threads));

@@ -134,8 +134,51 @@ TEST(Router, AidtBaselineSelection) {
   EXPECT_TRUE(res.nets[0].violations.empty());  // run_drc=false: no sweep ran
 }
 
-/// route_batch must be bit-identical to route() on every trace, whatever the
-/// thread count.
+TEST(Router, PerMemberTargetOverride) {
+  layout::Layout l;
+  layout::MatchGroup g;
+  g.target_length = 40.0;
+  layout::Trace t;
+  t.path = geom::Polyline{{{0, 0}, {30, 0}}};
+  const auto id = l.add_trace(t);
+  layout::RoutableArea area;
+  area.outline = geom::Polygon::rect({{-1, -5}, {31, 5}});
+  l.set_routable_area(id, area);
+  g.members.push_back({layout::MemberKind::SingleEnded, id});
+  g.member_targets = {45.0};
+  l.add_group(g);
+  drc::DesignRules r;
+  r.gap = 1.0;
+  r.protect = 0.5;
+  RouterOptions opts;
+  opts.run_drc = false;
+  const RouteResult res = Router(r, opts).route(l);
+  EXPECT_DOUBLE_EQ(res.group.members[0].target, 45.0);
+  EXPECT_NEAR(res.group.members[0].final_length, 45.0, 1e-4);
+}
+
+TEST(Router, DifferentialGroupFromTable1Case5) {
+  // Slimmed variant of the Table I differential case: one pair.
+  auto c = workload::table1_case(5);
+  // Keep only the first member to bound test runtime.
+  while (c.layout.groups()[0].members.size() > 1) {
+    c.layout.remove_group_member(0, c.layout.groups()[0].members.size() - 1);
+  }
+  RouterOptions opts;
+  opts.run_drc = false;
+  const RouteResult res = Router(c.rules, opts).route(c.layout);
+  ASSERT_EQ(res.group.members.size(), 1u);
+  EXPECT_EQ(res.group.members[0].kind, layout::MemberKind::Differential);
+  // The restored pair must be close to target (skew + restoration noise
+  // permitted) and far better than the initial error.
+  EXPECT_LT(res.group.max_error_pct, res.group.initial_max_error_pct / 3.0);
+  const auto& pair = c.layout.pairs().begin()->second;
+  EXPECT_FALSE(pair.positive.path.self_intersects());
+  EXPECT_FALSE(pair.negative.path.self_intersects());
+}
+
+/// route() must be bit-identical on every trace at 1 (the serial reference)
+/// and 8 threads.
 TEST(Router, BatchIdenticalSingleVsMultiThreaded) {
   for (const int case_id : {1, 5}) {
     auto sequential = workload::table1_case(case_id);
@@ -144,10 +187,10 @@ TEST(Router, BatchIdenticalSingleVsMultiThreaded) {
     RouterOptions opts = table1_options();
     opts.threads = 1;
     const RouteResult res_seq =
-        Router(sequential.rules, opts).route_batch(sequential.layout);
+        Router(sequential.rules, opts).route(sequential.layout);
     opts.threads = 8;
     const RouteResult res_par =
-        Router(threaded.rules, opts).route_batch(threaded.layout);
+        Router(threaded.rules, opts).route(threaded.layout);
 
     ASSERT_EQ(res_seq.nets.size(), res_par.nets.size());
     for (std::size_t i = 0; i < res_seq.nets.size(); ++i) {
@@ -202,8 +245,8 @@ void expect_identical_geometry(const layout::Layout& a, const layout::Layout& b)
   }
 }
 
-/// route_all on a seeded multi-group board: bit-identical to per-group
-/// route() whatever the thread count, results in group order.
+/// route_board on a seeded multi-group board: bit-identical to serial
+/// per-group route() whatever the thread count, results in group order.
 TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
   const auto fam = scenario::family("multi_group", true);
   const scenario::Scenario reference_sc = scenario::materialize(fam.cases.at(0));
@@ -211,6 +254,7 @@ TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
 
   auto reference = reference_sc.layout;
   RouterOptions ref_opts = table1_options();
+  ref_opts.threads = 1;
   const Router ref_router(reference_sc.rules, ref_opts);
   std::vector<RouteResult> ref_results;
   for (std::size_t g = 0; g < reference.groups().size(); ++g) {
@@ -222,7 +266,7 @@ TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
     RouterOptions opts = table1_options();
     opts.threads = threads;
     const Router router(sc.rules, opts);
-    const std::vector<RouteResult> results = router.route_all(sc.layout);
+    const std::vector<RouteResult> results = router.route_board(sc.layout).results;
 
     ASSERT_EQ(results.size(), ref_results.size()) << threads;
     for (std::size_t g = 0; g < results.size(); ++g) {
@@ -242,7 +286,7 @@ TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
 }
 
 /// A target below the current trace length makes the extender throw inside
-/// a member task; the pool must capture and rethrow it from route_batch,
+/// a member task; the pool must capture and rethrow it from route(),
 /// leaving the layout untouched (write-back never runs).
 TEST(Router, ThrowingMemberTaskPropagatesAndAbortsCleanly) {
   drc::DesignRules rules;
@@ -253,11 +297,11 @@ TEST(Router, ThrowingMemberTaskPropagatesAndAbortsCleanly) {
   RouterOptions opts;
   opts.threads = 8;
   const Router router(rules, opts);
-  EXPECT_THROW((void)router.route_batch(l), std::invalid_argument);
+  EXPECT_THROW((void)router.route(l), std::invalid_argument);
   expect_identical_geometry(before, l);
 }
 
-/// Repeated route_batch calls on one Router reuse the same private pool:
+/// Repeated threaded route() calls on one Router reuse the same private pool:
 /// results stay identical call after call and no per-call state leaks.
 TEST(Router, RepeatedRouteBatchOnOneRouterIsStable) {
   const auto fam = scenario::family("multi_group", true);
@@ -269,14 +313,14 @@ TEST(Router, RepeatedRouteBatchOnOneRouterIsStable) {
   double first_error = -1.0;
   for (int call = 0; call < 25; ++call) {
     layout::Layout layout = sc.layout;  // fresh board, same router+pool
-    const RouteResult rr = router.route_batch(layout, 0);
+    const RouteResult rr = router.route(layout, 0);
     if (first_error < 0.0) first_error = rr.group.max_error_pct;
     EXPECT_DOUBLE_EQ(rr.group.max_error_pct, first_error) << "call " << call;
   }
 }
 
 /// An explicitly provided executor is honoured (the Suite wiring): one
-/// pool shared by several Routers, including nested route_all fan-out.
+/// pool shared by several Routers, including nested route_board fan-out.
 TEST(Router, SharedExplicitPoolAcrossRouters) {
   exec::TaskPool pool(2);
   const auto fam = scenario::family("multi_group", true);
@@ -287,7 +331,7 @@ TEST(Router, SharedExplicitPoolAcrossRouters) {
     opts.pool = &pool;
     const Router router(sc.rules, opts);
     EXPECT_EQ(&router.pool(), &pool);
-    const std::vector<RouteResult> results = router.route_all(sc.layout);
+    const std::vector<RouteResult> results = router.route_board(sc.layout).results;
     EXPECT_EQ(results.size(), sc.layout.groups().size());
     // The family's own gate: few-percent Max error, not exact matching
     // (residuals below the minimum pattern gain are unreachable).

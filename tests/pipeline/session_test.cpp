@@ -2,8 +2,8 @@
 ///
 /// The contract under test: a `pipeline::Session` driven through an edit
 /// script must end bit-identical — member geometry and violation sets — to
-/// generating the edited board from scratch and routing it fresh, under
-/// every DRC schedule and thread count; and the reroute must actually prune
+/// generating the edited board from scratch and routing it fresh, at every
+/// thread count and in both apply modes; and the reroute must actually prune
 /// work (strictly fewer groups re-run than the board holds) on the
 /// multi-group storms. Plus the session-level mutation invariants: stale or
 /// out-of-order delta lists are rejected, edits cannot interleave with a
@@ -30,12 +30,10 @@ namespace {
 
 /// The bench suite's router configuration (Suite::router_options_for), so
 /// the oracle runs the exact flow the recorded storms were validated under.
-RouterOptions storm_options(const scenario::Scenario& sc, DrcSchedule schedule,
-                            std::size_t threads) {
+RouterOptions storm_options(const scenario::Scenario& sc, std::size_t threads) {
   RouterOptions o;
   o.extender.l_disc = 0.5;
   o.extender.max_width_steps = 24;
-  o.drc_schedule = schedule;
   o.threads = threads;
   if (sc.spec.extender_tolerance > 0.0) o.extender.tolerance = sc.spec.extender_tolerance;
   if (sc.pair_rule_set.size() > 1) o.pair_rule_set = sc.pair_rule_set;
@@ -45,65 +43,96 @@ RouterOptions storm_options(const scenario::Scenario& sc, DrcSchedule schedule,
 TEST(Session, ApplyBeforeRouteThrows) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  Session session(storm.scenario.rules,
-                  storm_options(storm.scenario, DrcSchedule::Overlapped, 1),
-                  storm.scenario.layout);
+  Session session(storm.scenario.rules, storm_options(storm.scenario, 1), storm.scenario.layout);
   EXPECT_THROW((void)session.apply(storm.edits.front()), std::logic_error);
+}
+
+/// Fresh oracle: the storm's pristine board with its whole edit script
+/// applied, routed from zero.
+std::pair<scenario::Scenario, BoardRoute> fresh_route(const scenario::EditStormCase& c,
+                                                      const scenario::EditStorm& storm,
+                                                      const RouterOptions& opts) {
+  scenario::Scenario fresh = scenario::materialize(c.base);
+  for (const layout::BoardEdit& edit : storm.edits) layout::apply_edit(fresh.layout, edit);
+  BoardRoute full = Router(fresh.rules, opts).route_board(fresh.layout);
+  return {std::move(fresh), std::move(full)};
 }
 
 TEST(Session, EditStormsMatchFreshRouteUnderEverySchedule) {
   for (const scenario::EditStormCase& c : scenario::edit_storm_cases(true)) {
     scenario::EditStorm storm = scenario::materialize_storm(c);
-    for (const DrcSchedule schedule :
-         {DrcSchedule::Barrier, DrcSchedule::Overlapped}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        SCOPED_TRACE(c.name + (schedule == DrcSchedule::Barrier ? "/barrier" : "/overlap") +
-                     "/t" + std::to_string(threads));
-        const RouterOptions opts = storm_options(storm.scenario, schedule, threads);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(c.name + "/t" + std::to_string(threads));
+      const RouterOptions opts = storm_options(storm.scenario, threads);
 
-        Session session(storm.scenario.rules, opts, storm.scenario.layout);
-        session.route();
-        const std::uint64_t v0 = session.version();  // route() never edits
-        EXPECT_EQ(v0, storm.scenario.layout.version());
+      Session session(storm.scenario.rules, opts, storm.scenario.layout);
+      session.route();
+      const std::uint64_t v0 = session.version();  // route() never edits
+      EXPECT_EQ(v0, storm.scenario.layout.version());
 
-        std::size_t rerouted_total = 0;
-        bool pruned = false;
-        for (const layout::BoardEdit& edit : storm.edits) {
-          const ApplyOutcome out = session.apply(edit);
-          EXPECT_FALSE(out.deltas.empty());
-          rerouted_total += out.rerouted_groups.size();
-          if (out.rerouted_groups.size() < out.groups_total) pruned = true;
-        }
-        EXPECT_GT(session.version(), v0);
-
-        // Fresh oracle: same pristine board, same script, routed from zero.
-        scenario::Scenario fresh = scenario::materialize(c.base);
-        for (const layout::BoardEdit& edit : storm.edits) {
-          layout::apply_edit(fresh.layout, edit);
-        }
-        const Router router(fresh.rules, opts);
-        const BoardRoute full = router.route_board(fresh.layout);
-        std::string why;
-        EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),
-                                      fresh.layout, full, &why))
-            << why;
-
-        // Multi-group storms must prove incrementality, not just equality:
-        // at least one edit re-routes strictly fewer groups than exist.
-        if (session.layout().groups().size() > 1) {
-          EXPECT_TRUE(pruned) << "every edit re-routed all "
-                              << session.layout().groups().size() << " groups";
-        }
-        EXPECT_GT(rerouted_total, 0u);
+      std::size_t rerouted_total = 0;
+      bool pruned = false;
+      for (const layout::BoardEdit& edit : storm.edits) {
+        const ApplyOutcome out = session.apply(edit);
+        EXPECT_FALSE(out.deltas.empty());
+        rerouted_total += out.rerouted_groups.size();
+        if (out.rerouted_groups.size() < out.groups_total) pruned = true;
       }
+      EXPECT_GT(session.version(), v0);
+
+      const auto [fresh, full] = fresh_route(c, storm, opts);
+      std::string why;
+      EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),
+                                    fresh.layout, full, &why))
+          << why;
+
+      // Multi-group storms must prove incrementality, not just equality:
+      // at least one edit re-routes strictly fewer groups than exist.
+      if (session.layout().groups().size() > 1) {
+        EXPECT_TRUE(pruned) << "every edit re-routed all "
+                            << session.layout().groups().size() << " groups";
+      }
+      EXPECT_GT(rerouted_total, 0u);
     }
+  }
+}
+
+/// The serving tier's last retry rung, on the success path: a session whose
+/// initial route and every edit dispatch run in ApplyMode::Degraded (a
+/// one-thread Router with no pool, whatever the session's own options say)
+/// ends equivalent to a Normal-mode session on a 4-thread Router and to a
+/// fresh route_board of the edited board.
+TEST(Session, DegradedDispatchMatchesNormalModeAndFreshRoute) {
+  for (const scenario::EditStormCase& c : scenario::edit_storm_cases(true)) {
+    SCOPED_TRACE(c.name);
+    scenario::EditStorm storm = scenario::materialize_storm(c);
+    const RouterOptions opts = storm_options(storm.scenario, 4);
+
+    Session degraded(storm.scenario.rules, opts, storm.scenario.layout);
+    degraded.route(ApplyMode::Degraded);
+    Session normal(storm.scenario.rules, opts, storm.scenario.layout);
+    normal.route();
+    for (const layout::BoardEdit& edit : storm.edits) {
+      (void)degraded.apply(std::span<const layout::BoardEdit>{&edit, 1}, ApplyMode::Degraded);
+      (void)normal.apply(edit);
+    }
+    EXPECT_TRUE(degraded.in_sync());
+
+    std::string why;
+    EXPECT_TRUE(routes_equivalent(degraded.layout(), degraded.route_state(), normal.layout(),
+                                  normal.route_state(), &why))
+        << "vs normal mode: " << why;
+    const auto [fresh, full] = fresh_route(c, storm, opts);
+    EXPECT_TRUE(routes_equivalent(degraded.layout(), degraded.route_state(), fresh.layout,
+                                  full, &why))
+        << "vs fresh route: " << why;
   }
 }
 
 TEST(Session, BoardClearanceMatchesAFreshSessionOnTheEditedBoard) {
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
 
   Session session(storm.scenario.rules, opts, storm.scenario.layout);
   session.route();
@@ -136,7 +165,7 @@ TEST(Session, BoardClearanceMatchesAFreshSessionOnTheEditedBoard) {
 TEST(Reroute, RejectsStaleAndOutOfOrderDeltaLists) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   const Router router(storm.scenario.rules, opts);
 
   layout::Layout board = storm.scenario.layout;
@@ -170,7 +199,7 @@ TEST(Reroute, RejectsStaleAndOutOfOrderDeltaLists) {
 TEST(Reroute, VersionIsMonotoneAcrossRouteAndReroute) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   const Router router(storm.scenario.rules, opts);
 
   layout::Layout board = storm.scenario.layout;
@@ -195,9 +224,7 @@ TEST(Session, ApplyOutcomeCorrelatesEditsWithJournalVersions) {
   // the edit that produced it, without re-reading deltas_since.
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  Session session(storm.scenario.rules,
-                  storm_options(storm.scenario, DrcSchedule::Overlapped, 1),
-                  storm.scenario.layout);
+  Session session(storm.scenario.rules, storm_options(storm.scenario, 1), storm.scenario.layout);
   session.route();
 
   // Per-edit apply: offsets are {0, deltas.size()} and the versions bracket
@@ -239,7 +266,7 @@ TEST(Session, ReleaseThenThawContinuesIdentically) {
   // session that never released — the service's thaw-on-next-edit contract.
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   ASSERT_GE(storm.edits.size(), 2u);
 
   Session witness(storm.scenario.rules, opts, storm.scenario.layout);
@@ -267,7 +294,7 @@ TEST(Session, ReleaseThenThawContinuesIdentically) {
 TEST(Session, ReleaseAndThawErrorPaths) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
 
   // release() before route(): no whole-board route to snapshot.
   Session unrouted(storm.scenario.rules, opts, storm.scenario.layout);
@@ -305,7 +332,7 @@ TEST(Session, BatchApplyReroutesThePrefixBeforeRethrowing) {
   // then keep working normally.
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   Session session(storm.scenario.rules, opts, storm.scenario.layout);
   session.route();
 
@@ -338,7 +365,7 @@ TEST(Reroute, BoardEditsCannotInterleaveWithARouteInFlight) {
   // Two halves. (1) Deterministic: while any routing freeze is alive —
   // exactly the state Router::run holds for its whole body — every recorded
   // mutator throws before touching the board, so an edit stream can never
-  // corrupt a route in flight. (2) Threaded: a real route_all observably
+  // corrupt a route in flight. (2) Threaded: a real route_board observably
   // raises the freeze from another thread (atomic read only: attempting the
   // mutation from here would race with the route's own reads between group
   // chains) and releases it by the time it returns, after which edits work.
@@ -362,7 +389,7 @@ TEST(Reroute, BoardEditsCannotInterleaveWithARouteInFlight) {
   std::atomic<bool> done{false};
   std::atomic<bool> observed_frozen{false};
   std::thread worker([&] {
-    (void)router.route_all(sc.layout);
+    (void)router.route_board(sc.layout);
     done.store(true);
   });
   while (!done.load()) {
@@ -387,7 +414,7 @@ TEST(Session, MidBatchApplyFaultKeepsThePrefixContract) {
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
   ASSERT_GE(storm.edits.size(), 3u);
-  RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  RouterOptions opts = storm_options(storm.scenario, 1);
   opts.fault_scope = "sess";
   opts.fault_plan = std::make_shared<fault::FaultPlan>();
   opts.fault_plan->add({fault::apply_site("sess"), /*nth=*/2, /*count=*/1});
@@ -409,8 +436,7 @@ TEST(Session, MidBatchApplyFaultKeepsThePrefixContract) {
 
   scenario::Scenario prefix = scenario::materialize(c.base);
   layout::apply_edit(prefix.layout, storm.edits.at(0));
-  const Router router(prefix.rules,
-                      storm_options(prefix, DrcSchedule::Overlapped, 1));
+  const Router router(prefix.rules, storm_options(prefix, 1));
   const BoardRoute prefix_route = router.route_board(prefix.layout);
   std::string why;
   EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),
@@ -437,7 +463,7 @@ TEST(Session, RerouteFaultLeavesSessionOutOfSyncAndResyncHeals) {
   // oracle without re-lowering anything.
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  RouterOptions opts = storm_options(storm.scenario, 1);
 
   // Count the members the initial route extends: the fault window starts
   // right after them, so the reroute's first member extension dies.
@@ -468,8 +494,7 @@ TEST(Session, RerouteFaultLeavesSessionOutOfSyncAndResyncHeals) {
 
   scenario::Scenario fresh = scenario::materialize(c.base);
   layout::apply_edit(fresh.layout, storm.edits.at(0));
-  const Router router(fresh.rules,
-                      storm_options(fresh, DrcSchedule::Overlapped, 1));
+  const Router router(fresh.rules, storm_options(fresh, 1));
   const BoardRoute full = router.route_board(fresh.layout);
   std::string why;
   EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),

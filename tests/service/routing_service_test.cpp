@@ -3,8 +3,8 @@
 /// The hard contract mirrors the session oracle, lifted to N boards: after
 /// replaying a service_storm stream — queued edits, coalesced batches,
 /// mid-stream eviction and thaw included — every board's end state must be
-/// routes_equivalent to a fresh route_board of its edited board, under both
-/// DRC schedules and at 1 and 4 threads. Around it, the scheduling
+/// routes_equivalent to a fresh route_board of its edited board at 1 and 4
+/// threads. Around it, the scheduling
 /// semantics the bench counters report: edits queue instead of hitting the
 /// RoutingFreeze throw, a serial service coalesces a burst into one batch,
 /// eviction refuses busy/queued boards, and a failed edit surfaces at
@@ -33,12 +33,10 @@ namespace {
 
 /// The bench suite's router configuration (Suite::scenario_router_options):
 /// the storms were generated and validated under exactly this flow.
-pipeline::RouterOptions storm_options(const scenario::Scenario& sc,
-                                      pipeline::DrcSchedule schedule) {
+pipeline::RouterOptions storm_options(const scenario::Scenario& sc) {
   pipeline::RouterOptions o;
   o.extender.l_disc = 0.5;
   o.extender.max_width_steps = 24;
-  o.drc_schedule = schedule;
   if (sc.spec.extender_tolerance > 0.0) o.extender.tolerance = sc.spec.extender_tolerance;
   if (sc.pair_rule_set.size() > 1) o.pair_rule_set = sc.pair_rule_set;
   return o;
@@ -63,55 +61,51 @@ TEST(RoutingService, ServiceStormMatchesFreshRoutesUnderEverySchedule) {
   scenario::ServiceStorm storm = scenario::materialize_service_storm(c);
   ASSERT_GE(storm.boards.size(), 8u);
 
-  for (const pipeline::DrcSchedule schedule :
-       {pipeline::DrcSchedule::Barrier, pipeline::DrcSchedule::Overlapped}) {
-    // Fresh oracles once per schedule: regenerate each board, replay its
-    // script, route from scratch.
-    std::vector<scenario::Scenario> fresh;
-    std::vector<pipeline::BoardRoute> fresh_routes;
+  // Fresh oracles: regenerate each board, replay its script, route from
+  // scratch.
+  std::vector<scenario::Scenario> fresh;
+  std::vector<pipeline::BoardRoute> fresh_routes;
+  for (const scenario::EditStorm& bs : storm.boards) {
+    scenario::Scenario f = scenario::materialize(bs.spec.base);
+    for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
+    const pipeline::Router router(f.rules, storm_options(f));
+    fresh_routes.push_back(router.route_board(f.layout));
+    fresh.push_back(std::move(f));
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("t" + std::to_string(threads));
+    ServiceOptions sopts;
+    sopts.threads = threads;
+    RoutingService svc(sopts);
     for (const scenario::EditStorm& bs : storm.boards) {
-      scenario::Scenario f = scenario::materialize(bs.spec.base);
-      for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
-      const pipeline::Router router(f.rules, storm_options(f, schedule));
-      fresh_routes.push_back(router.route_board(f.layout));
-      fresh.push_back(std::move(f));
+      svc.add_board(bs.spec.name, bs.scenario.rules,
+                    storm_options(bs.scenario), bs.scenario.layout);
+    }
+    svc.drain();
+    replay(svc, storm);
+
+    ServiceTotals totals = svc.totals();
+    EXPECT_EQ(totals.submitted, storm.stream.size());
+    EXPECT_EQ(totals.applied, storm.stream.size());
+    // The stream's evict marker fired mid-replay and later edits thawed.
+    EXPECT_GT(totals.evictions, 0u);
+    EXPECT_GT(totals.thaws, 0u);
+    EXPECT_LE(totals.thaws, totals.evictions);
+    if (threads == 1) {
+      // Serial replay queues whole bursts between drains: coalescing is
+      // deterministic, not a scheduling accident.
+      EXPECT_GT(totals.coalesced_batches, 0u);
+      EXPECT_GT(totals.max_batch, 1u);
     }
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE((schedule == pipeline::DrcSchedule::Barrier ? "barrier" : "overlap") +
-                   std::string("/t") + std::to_string(threads));
-      ServiceOptions sopts;
-      sopts.threads = threads;
-      RoutingService svc(sopts);
-      for (const scenario::EditStorm& bs : storm.boards) {
-        svc.add_board(bs.spec.name, bs.scenario.rules,
-                      storm_options(bs.scenario, schedule), bs.scenario.layout);
-      }
-      svc.drain();
-      replay(svc, storm);
-
-      ServiceTotals totals = svc.totals();
-      EXPECT_EQ(totals.submitted, storm.stream.size());
-      EXPECT_EQ(totals.applied, storm.stream.size());
-      // The stream's evict marker fired mid-replay and later edits thawed.
-      EXPECT_GT(totals.evictions, 0u);
-      EXPECT_GT(totals.thaws, 0u);
-      EXPECT_LE(totals.thaws, totals.evictions);
-      if (threads == 1) {
-        // Serial replay queues whole bursts between drains: coalescing is
-        // deterministic, not a scheduling accident.
-        EXPECT_GT(totals.coalesced_batches, 0u);
-        EXPECT_GT(totals.max_batch, 1u);
-      }
-
-      for (std::size_t b = 0; b < storm.boards.size(); ++b) {
-        const std::string& id = storm.boards[b].spec.name;
-        std::string why;
-        EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id),
-                                                svc.board_route(id), fresh[b].layout,
-                                                fresh_routes[b], &why))
-            << id << ": " << why;
-      }
+    for (std::size_t b = 0; b < storm.boards.size(); ++b) {
+      const std::string& id = storm.boards[b].spec.name;
+      std::string why;
+      EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id),
+                                              svc.board_route(id), fresh[b].layout,
+                                              fresh_routes[b], &why))
+          << id << ": " << why;
     }
   }
 }
@@ -127,7 +121,7 @@ TEST(RoutingService, SerialServiceCoalescesABurstIntoOneBatch) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   svc.drain();
 
@@ -154,7 +148,7 @@ TEST(RoutingService, SerialServiceCoalescesABurstIntoOneBatch) {
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   for (std::size_t k = 0; k < 3; ++k) layout::apply_edit(f.layout, bs.edits.at(k));
   const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -174,7 +168,7 @@ TEST(RoutingService, MaxBatchCapsCoalescing) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   svc.drain();
   for (std::size_t k = 0; k < 3; ++k) svc.submit(id, bs.edits.at(k));
@@ -196,7 +190,7 @@ TEST(RoutingService, EvictAndThawRoundTrip) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
 
   // Not routed yet (initial route still queued): eviction refuses.
@@ -229,7 +223,7 @@ TEST(RoutingService, EvictAndThawRoundTrip) {
   layout::apply_edit(f.layout, bs.edits.at(0));
   layout::apply_edit(f.layout, bs.edits.at(1));
   const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -247,7 +241,7 @@ TEST(RoutingService, FailedEditSurfacesAtDrainWithoutWedgingTheBoard) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   svc.drain();
 
@@ -280,7 +274,7 @@ TEST(RoutingService, FailedEditSurfacesAtDrainWithoutWedgingTheBoard) {
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   layout::apply_edit(f.layout, bs.edits.at(0));
   const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -297,10 +291,10 @@ TEST(RoutingService, DuplicateAndUnknownBoardIdsThrow) {
   sopts.threads = 1;
   RoutingService svc(sopts);
   svc.add_board(bs.spec.name, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   EXPECT_THROW(svc.add_board(bs.spec.name, bs.scenario.rules,
-                             storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                             storm_options(bs.scenario),
                              bs.scenario.layout),
                std::invalid_argument);
   EXPECT_THROW(svc.submit("no-such-board", bs.edits.at(0)), std::out_of_range);
@@ -311,7 +305,7 @@ TEST(RoutingService, DuplicateAndUnknownBoardIdsThrow) {
 TEST(RoutingService, SharedStreamStressWithConcurrentSubmitters) {
   // Thread-safety smoke for TSAN: several boards replayed with submits
   // racing the dispatches on a multi-worker pool, then the oracle on one
-  // board (the full oracle matrix lives in the schedule test above).
+  // board (the full oracle runs in the storm test above).
   const scenario::ServiceStormCase c = scenario::service_storm_cases(true).at(0);
   scenario::ServiceStorm storm = scenario::materialize_service_storm(c);
 
@@ -320,7 +314,7 @@ TEST(RoutingService, SharedStreamStressWithConcurrentSubmitters) {
   RoutingService svc(sopts);
   for (const scenario::EditStorm& bs : storm.boards) {
     svc.add_board(bs.spec.name, bs.scenario.rules,
-                  storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                  storm_options(bs.scenario),
                   bs.scenario.layout);
   }
   // No initial drain: submits race the initial routes — every edit must
@@ -336,7 +330,7 @@ TEST(RoutingService, SharedStreamStressWithConcurrentSubmitters) {
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
   const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(bs.spec.name),
@@ -361,7 +355,7 @@ TEST(RoutingService, RetryRecoversFromInjectedFault) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   svc.drain();
   svc.submit(id, bs.edits.at(0));
@@ -379,7 +373,7 @@ TEST(RoutingService, RetryRecoversFromInjectedFault) {
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   layout::apply_edit(f.layout, bs.edits.at(0));
   const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -406,7 +400,7 @@ TEST(RoutingService, QuarantineRevertsToLastGoodAndResurrectReplays) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   svc.drain();
   svc.submit(id, bs.edits.at(0));
@@ -431,7 +425,7 @@ TEST(RoutingService, QuarantineRevertsToLastGoodAndResurrectReplays) {
   scenario::Scenario prefix = scenario::materialize(bs.spec.base);
   layout::apply_edit(prefix.layout, bs.edits.at(0));
   const pipeline::Router router(
-      prefix.rules, storm_options(prefix, pipeline::DrcSchedule::Overlapped));
+      prefix.rules, storm_options(prefix));
   const pipeline::BoardRoute prefix_route = router.route_board(prefix.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -485,7 +479,7 @@ TEST(RoutingService, RequarantineAfterResurrectKeepsLastGoodSnapshot) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   svc.drain();
   svc.submit(id, bs.edits.at(0));
@@ -511,7 +505,7 @@ TEST(RoutingService, RequarantineAfterResurrectKeepsLastGoodSnapshot) {
   scenario::Scenario prefix = scenario::materialize(bs.spec.base);
   layout::apply_edit(prefix.layout, bs.edits.at(0));
   const pipeline::Router router(
-      prefix.rules, storm_options(prefix, pipeline::DrcSchedule::Overlapped));
+      prefix.rules, storm_options(prefix));
   const pipeline::BoardRoute prefix_route = router.route_board(prefix.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -550,7 +544,7 @@ TEST(RoutingService, InitialRouteFaultQuarantinesAndResurrectRecovers) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   EXPECT_THROW(svc.drain(), ServiceError);
   EXPECT_TRUE(svc.is_quarantined(id));
@@ -574,7 +568,7 @@ TEST(RoutingService, InitialRouteFaultQuarantinesAndResurrectRecovers) {
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   layout::apply_edit(f.layout, bs.edits.at(0));
   const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -594,7 +588,7 @@ TEST(RoutingService, QueueLimitShedsWithTypedStatus) {
   sopts.queue_limit = 2;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                storm_options(bs.scenario),
                 bs.scenario.layout);
   svc.drain();
 
@@ -618,7 +612,7 @@ TEST(RoutingService, QueueLimitShedsWithTypedStatus) {
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   for (std::size_t k = 0; k < 3; ++k) layout::apply_edit(f.layout, bs.edits.at(k));
   const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -637,7 +631,7 @@ TEST(RoutingService, DrainAggregatesEveryFailedBoard) {
   for (std::size_t b = 0; b < 2; ++b) {
     const scenario::EditStorm& bs = storm.boards.at(b);
     svc.add_board(bs.spec.name, bs.scenario.rules,
-                  storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                  storm_options(bs.scenario),
                   bs.scenario.layout);
   }
   svc.drain();
@@ -676,7 +670,7 @@ TEST(RoutingService, DeadlineTimeoutsWalkTheLadderIntoQuarantine) {
   // An impossible per-group budget: every attempt (degraded included)
   // times out deterministically at the first stage-boundary poll.
   pipeline::RouterOptions ropts =
-      storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped);
+      storm_options(bs.scenario);
   ropts.deadline_s = 1e-12;
 
   ServiceOptions sopts;
@@ -722,7 +716,7 @@ TEST(RoutingService, EvictionRacingFaultingPumpsStaysConsistent) {
     RoutingService svc(sopts);
     for (const scenario::EditStorm& bs : storm.boards) {
       svc.add_board(bs.spec.name, bs.scenario.rules,
-                    storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                    storm_options(bs.scenario),
                     bs.scenario.layout);
     }
     for (std::size_t e = 0; e < storm.stream.size(); ++e) {
@@ -742,7 +736,7 @@ TEST(RoutingService, EvictionRacingFaultingPumpsStaysConsistent) {
       scenario::Scenario f = scenario::materialize(bs.spec.base);
       for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
       const pipeline::Router router(
-          f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+          f.rules, storm_options(f));
       const pipeline::BoardRoute full = router.route_board(f.layout);
       std::string why;
       EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(bs.spec.name),

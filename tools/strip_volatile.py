@@ -3,11 +3,10 @@
 
 The single script-side twin of ``lmr::bench::strip_volatile``
 (src/bench_harness/report.cpp): removes the ``run`` object, the
-``scaling``, ``drc_overlap``, ``backend``, ``edit_storm`` and ``service``
+``scaling``, ``backend``, ``edit_storm``, ``service`` and ``fault_storm``
 sections, the parallelism context (``threads_used``, ``pool_policy``) and
-every ``*_s``-suffixed key. Two
-runs with the same seeds — at any thread count or DRC schedule — must
-strip to identical documents. The bench_harness unit tests diff this
+every ``*_s``-suffixed key. Two runs with the same seeds — at any thread
+count — must strip to identical documents. The bench_harness unit tests diff this
 script's output against the C++ implementation byte for byte, so the two
 cannot drift apart silently.
 
@@ -22,7 +21,6 @@ import sys
 VOLATILE_KEYS = {
     "run",
     "scaling",
-    "drc_overlap",
     "backend",
     "edit_storm",
     "service",
