@@ -1,35 +1,21 @@
 /// \file micro_rangetree.cpp
-/// Microbenchmarks for the two clearance broadphases: the range tree of
-/// §IV-D (O(N log N) build, O(log^2 N + k) window queries — Alg. 2's
-/// P_check accelerator) and the uniform segment grid (O(1) insert/remove,
-/// O(cells + k) window visits) that replaces it on dense boards. The
-/// backend-captured ClearanceSweep rows are the head-to-head: the same board
-/// swept cold / warm / one-dirty / dirty-run under each forced backend.
+/// Microbenchmarks for the clearance broadphase: the uniform segment grid
+/// (O(1) insert/remove, O(cells + k) window visits) on its own, and the
+/// ClearanceIndex sweep built on it — the same board swept cold / warm /
+/// one-dirty / dirty-run.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <random>
 
-#include "index/range_tree.hpp"
 #include "index/seg_grid.hpp"
 #include "layout/clearance_index.hpp"
 
 namespace {
 
-std::vector<lmr::index::RangeTree2D::Entry> random_entries(std::size_t n) {
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> u(0.0, 1000.0);
-  std::vector<lmr::index::RangeTree2D::Entry> entries;
-  entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    entries.push_back({{u(rng), u(rng)}, i});
-  }
-  return entries;
-}
-
-/// Short random segments in the same 1000x1000 arena the point entries use
-/// (10-30 long: the scale of one meander leg against a ~20 cell).
+/// Short random segments in a 1000x1000 arena (10-30 long: the scale of one
+/// meander leg against a ~20 cell).
 std::vector<lmr::geom::Segment> random_segments(std::size_t n) {
   std::mt19937_64 rng(99);
   std::uniform_real_distribution<double> u(0.0, 970.0);
@@ -42,37 +28,6 @@ std::vector<lmr::geom::Segment> random_segments(std::size_t n) {
   }
   return segs;
 }
-
-void BM_RangeTreeBuild(benchmark::State& state) {
-  const auto entries = random_entries(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    lmr::index::RangeTree2D tree{entries};
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_RangeTreeBuild)->RangeMultiplier(4)->Range(256, 65536)->Complexity();
-
-void BM_RangeTreeQuerySmallWindow(benchmark::State& state) {
-  const auto entries = random_entries(static_cast<std::size_t>(state.range(0)));
-  const lmr::index::RangeTree2D tree{entries};
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> u(0.0, 980.0);
-  for (auto _ : state) {
-    const double x = u(rng), y = u(rng);
-    std::size_t count = 0;
-    tree.visit({{x, y}, {x + 20.0, y + 20.0}}, [&](const auto&) {
-      ++count;
-      return true;
-    });
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_RangeTreeQuerySmallWindow)
-    ->RangeMultiplier(4)
-    ->Range(256, 65536)
-    ->Complexity();
 
 void BM_SegGridBuild(benchmark::State& state) {
   const auto segs = random_segments(static_cast<std::size_t>(state.range(0)));
@@ -111,20 +66,17 @@ BENCHMARK(BM_SegGridQuerySmallWindow)
     ->Range(256, 65536)
     ->Complexity();
 
-/// ClearanceIndex sweep cache: a board of parallel traces, swept repeatedly
-/// under a forced broadphase backend. Regimes — cold (every sweep
-/// re-indexes everything, the pre-cache behaviour), warm (nothing changed;
-/// cached violations returned verbatim), one-dirty (a single trace
-/// re-inserted per sweep; the tree rebuilds one overlay and re-queries every
-/// slot, the grid re-registers and re-queries only that slot's segments) and
-/// dirty-run (below). The 16/256/4096 sizes bracket the Auto flip point
-/// (ClearanceIndex::kGridAutoSlots = 64).
+/// ClearanceIndex sweep cache: a board of parallel traces, swept
+/// repeatedly. Regimes — cold (every sweep re-indexes everything, the
+/// pre-cache behaviour), warm (nothing changed; cached violations returned
+/// verbatim), one-dirty (a single trace re-inserted per sweep; the grid
+/// re-registers and re-queries only that slot's segments) and dirty-run
+/// (below). The 16/256/4096 sizes span a paper-scale group to a
+/// backplane-scale board.
 struct SweepFixture {
   lmr::drc::DesignRules rules;
   std::vector<lmr::layout::Trace> traces;
-  lmr::layout::ClearanceBackend backend;
-
-  SweepFixture(std::size_t n, lmr::layout::ClearanceBackend b) : backend(b) {
+  explicit SweepFixture(std::size_t n) {
     rules.gap = 1.0;
     traces.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -137,7 +89,7 @@ struct SweepFixture {
   }
 
   [[nodiscard]] lmr::layout::ClearanceIndex make_index() const {
-    lmr::layout::ClearanceIndex index(rules, {}, backend);
+    lmr::layout::ClearanceIndex index(rules);
     for (std::size_t i = 0; i < traces.size(); ++i) {
       index.add_slot(traces[i].width, static_cast<std::uint32_t>(i));
     }
@@ -148,9 +100,8 @@ struct SweepFixture {
   }
 };
 
-void BM_ClearanceSweepCold(benchmark::State& state,
-                           lmr::layout::ClearanceBackend backend) {
-  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+void BM_ClearanceSweepCold(benchmark::State& state) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     // Re-inserting every slot dirties them all, forcing a full broadphase
     // rebuild — equivalent to the pre-cache sweep() cost.
@@ -159,18 +110,13 @@ void BM_ClearanceSweepCold(benchmark::State& state,
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK_CAPTURE(BM_ClearanceSweepCold, tree, lmr::layout::ClearanceBackend::RangeTree)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClearanceSweepCold, grid, lmr::layout::ClearanceBackend::Grid)
+BENCHMARK(BM_ClearanceSweepCold)
     ->RangeMultiplier(16)
     ->Range(16, 4096)
     ->Complexity();
 
-void BM_ClearanceSweepWarm(benchmark::State& state,
-                           lmr::layout::ClearanceBackend backend) {
-  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+void BM_ClearanceSweepWarm(benchmark::State& state) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)));
   auto index = fx.make_index();
   benchmark::DoNotOptimize(index.sweep().size());
   for (auto _ : state) {
@@ -178,18 +124,13 @@ void BM_ClearanceSweepWarm(benchmark::State& state,
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK_CAPTURE(BM_ClearanceSweepWarm, tree, lmr::layout::ClearanceBackend::RangeTree)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClearanceSweepWarm, grid, lmr::layout::ClearanceBackend::Grid)
+BENCHMARK(BM_ClearanceSweepWarm)
     ->RangeMultiplier(16)
     ->Range(16, 4096)
     ->Complexity();
 
-void BM_ClearanceSweepOneDirty(benchmark::State& state,
-                               lmr::layout::ClearanceBackend backend) {
-  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+void BM_ClearanceSweepOneDirty(benchmark::State& state) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)));
   auto index = fx.make_index();
   benchmark::DoNotOptimize(index.sweep().size());
   for (auto _ : state) {
@@ -198,12 +139,7 @@ void BM_ClearanceSweepOneDirty(benchmark::State& state,
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK_CAPTURE(BM_ClearanceSweepOneDirty, tree,
-                  lmr::layout::ClearanceBackend::RangeTree)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClearanceSweepOneDirty, grid, lmr::layout::ClearanceBackend::Grid)
+BENCHMARK(BM_ClearanceSweepOneDirty)
     ->RangeMultiplier(16)
     ->Range(16, 4096)
     ->Complexity();
@@ -212,9 +148,8 @@ BENCHMARK_CAPTURE(BM_ClearanceSweepOneDirty, grid, lmr::layout::ClearanceBackend
 /// slots mid-board, re-inserted before every sweep. Unlike OneDirty (slot 0,
 /// whose pairs all sit above it), the run has clean slots below it, so the
 /// grid re-sweep must also take hits from lower slots.
-void BM_ClearanceSweepDirtyRun(benchmark::State& state,
-                               lmr::layout::ClearanceBackend backend) {
-  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+void BM_ClearanceSweepDirtyRun(benchmark::State& state) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)));
   auto index = fx.make_index();
   benchmark::DoNotOptimize(index.sweep().size());
   const std::size_t run = std::max<std::size_t>(1, fx.traces.size() / 16);
@@ -227,12 +162,7 @@ void BM_ClearanceSweepDirtyRun(benchmark::State& state,
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK_CAPTURE(BM_ClearanceSweepDirtyRun, tree,
-                  lmr::layout::ClearanceBackend::RangeTree)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClearanceSweepDirtyRun, grid, lmr::layout::ClearanceBackend::Grid)
+BENCHMARK(BM_ClearanceSweepDirtyRun)
     ->RangeMultiplier(16)
     ->Range(16, 4096)
     ->Complexity();

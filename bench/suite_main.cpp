@@ -9,8 +9,7 @@
 /// `--scaling` additionally sweeps thread counts over the parallelism
 /// workloads (`large_group`, `multi_group`, `mega_board`) and attaches the
 /// speedup curve to the result document under `"scaling"` (volatile:
-/// timing-only), then diffs the forced range-tree clearance backend against
-/// the forced uniform grid on the dense families under `"backend"`;
+/// timing-only);
 /// `--edit-storm` replays the seeded edit scripts on live sessions under
 /// `"edit_storm"` and *fails the run* unless every incremental end state is
 /// bit-identical to a fresh route of the edited board; `--service` replays
@@ -46,8 +45,7 @@ void usage(const char* argv0) {
       "  --threads N    pool parallelism across cases/groups/members (0 = hardware)\n"
       "  --no-drc       skip the final oracle sweep\n"
       "  --scaling      also sweep thread counts on large_group/multi_group/\n"
-      "                 mega_board (speedup curve) and diff the range-tree vs\n"
-      "                 uniform-grid clearance backends on the dense families\n"
+      "                 mega_board (speedup curve)\n"
       "  --edit-storm   also replay seeded edit scripts on live sessions; fails\n"
       "                 unless each end state matches a fresh route bit for bit\n"
       "  --service      also replay multi-board service storms through a\n"
@@ -160,22 +158,6 @@ int main(int argc, char** argv) {
       }
     }
     doc["scaling"] = lmr::bench::Suite::scaling_json(curves);
-
-    std::vector<lmr::bench::BackendComparison> backends;
-    try {
-      backends = lmr::bench::Suite::run_backend_compare(
-          opts, {"mega_board", "large_group"});
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "backend sweep failed: %s\n", e.what());
-      return 2;
-    }
-    std::printf("\nclearance backend sweep (board-level sweep, tree vs grid):\n");
-    std::printf("%-16s %-12s %-12s %-8s\n", "family", "tree[s]", "grid[s]", "speedup");
-    for (const lmr::bench::BackendComparison& c : backends) {
-      std::printf("%-16s %-12.3f %-12.3f %-8.2f\n", c.family.c_str(),
-                  c.range_tree_sweep_s, c.grid_sweep_s, c.speedup);
-    }
-    doc["backend"] = lmr::bench::Suite::backend_json(backends);
   }
 
   bool storms_ok = true;

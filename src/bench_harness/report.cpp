@@ -61,8 +61,8 @@ Json strip_volatile(const Json& doc) {
   if (doc.is_object()) {
     Json out = Json::object();
     for (const auto& [key, value] : doc.members()) {
-      if (key == "run" || key == "scaling" || key == "backend" ||
-          key == "edit_storm" || key == "service" || key == "fault_storm") {
+      if (key == "run" || key == "scaling" || key == "edit_storm" ||
+          key == "service" || key == "fault_storm") {
         continue;
       }
       if (key == "threads_used" || key == "pool_policy") continue;

@@ -8,7 +8,7 @@
 ///    object (host, OS, compiler, thread count, timestamp);
 ///  * every volatile measurement key ends in `"_s"` (seconds);
 ///  * parallelism context (`threads_used`, `pool_policy`) and the
-///    timing-only `"scaling"` / `"backend"` / `"edit_storm"` / `"service"` /
+///    timing-only `"scaling"` / `"edit_storm"` / `"service"` /
 ///    `"fault_storm"` sweep sections are volatile wherever they appear:
 ///    routed metrics are thread-count-invariant by construction, so the
 ///    executor configuration must never change the stripped bytes.
@@ -39,9 +39,9 @@ struct RunInfo {
 [[nodiscard]] Json run_info_json(const RunInfo& info);
 
 /// Deep copy with the volatile members removed — the `"run"` object, the
-/// `"scaling"`, `"backend"`, `"edit_storm"`, `"service"` and `"fault_storm"`
-/// sections, `threads_used`/`pool_policy`, and every `*_s`-suffixed key —
-/// the deterministic view of a result document. `tools/strip_volatile.py` is
+/// `"scaling"`, `"edit_storm"`, `"service"` and `"fault_storm"` sections,
+/// `threads_used`/`pool_policy`, and every `*_s`-suffixed key — the
+/// deterministic view of a result document. `tools/strip_volatile.py` is
 /// the script-side twin; a unit test keeps their outputs byte-identical on
 /// the tracked results file.
 [[nodiscard]] Json strip_volatile(const Json& doc);

@@ -233,85 +233,6 @@ std::vector<ScalingCurve> Suite::run_scaling(const SuiteOptions& base,
   return curves;
 }
 
-std::vector<BackendComparison> Suite::run_backend_compare(
-    const SuiteOptions& base, const std::vector<std::string>& families) {
-  // The backend decides the broadphase cost of the *board-level* clearance
-  // sweep — the Session::board_clearance shape, where every net on the
-  // board shares one index (1k+ slots on mega_board). End-to-end route time
-  // is extension/oracle-dominated and would bury the difference, so: route
-  // each family once (routed geometry is backend-invariant, enforced by the
-  // clearance_backend tests), then time a cold build-insert-sweep of a
-  // whole-board index per backend. Min of repeats: a single cold sample
-  // would bill allocator warm-up to whichever backend runs first.
-  constexpr int kRepeats = 3;
-  std::vector<BackendComparison> comparisons;
-  for (const std::string& fam : families) {
-    SuiteOptions opts = base;
-    opts.families = {fam};
-    const Suite suite(opts);
-
-    std::vector<scenario::Scenario> boards;
-    for (const scenario::FamilyCase& fc : scenario::family(fam, opts.smoke).cases) {
-      scenario::Scenario sc = scenario::materialize(fc);
-      const pipeline::Router router(sc.rules, suite.router_options_for(sc));
-      (void)router.route_board(sc.layout);
-      boards.push_back(std::move(sc));
-    }
-
-    BackendComparison cmp;
-    cmp.family = fam;
-    for (const layout::ClearanceBackend backend :
-         {layout::ClearanceBackend::RangeTree, layout::ClearanceBackend::Grid}) {
-      double best = 0.0;
-      for (int rep = 0; rep < kRepeats; ++rep) {
-        const auto t0 = core::now();
-        for (const scenario::Scenario& sc : boards) {
-          layout::ClearanceIndex index(sc.rules, opts.router.drc, backend);
-          // Slot per sub-trace, pair halves sharing a net: the
-          // Session::reindex_groups shape.
-          std::uint32_t net = 0;
-          for (const layout::MatchGroup& g : sc.layout.groups()) {
-            for (const layout::GroupMember& m : g.members) {
-              if (m.kind == layout::MemberKind::SingleEnded) {
-                const layout::Trace& t = sc.layout.trace(m.id);
-                index.insert(index.add_slot(t.width, net), t);
-              } else {
-                const layout::DiffPair& p = sc.layout.pair(m.id);
-                index.insert(index.add_slot(p.positive.width, net), p.positive);
-                index.insert(index.add_slot(p.negative.width, net), p.negative);
-              }
-              ++net;
-            }
-          }
-          // sweep() mutates the index's caches, so it cannot be elided.
-          (void)index.sweep();
-        }
-        const double took = seconds_since(t0);
-        best = rep == 0 ? took : std::min(best, took);
-      }
-      (backend == layout::ClearanceBackend::RangeTree ? cmp.range_tree_sweep_s
-                                                      : cmp.grid_sweep_s) = best;
-    }
-    cmp.speedup =
-        cmp.grid_sweep_s > 0.0 ? cmp.range_tree_sweep_s / cmp.grid_sweep_s : 0.0;
-    comparisons.push_back(std::move(cmp));
-  }
-  return comparisons;
-}
-
-Json Suite::backend_json(const std::vector<BackendComparison>& comparisons) {
-  Json out = Json::array();
-  for (const BackendComparison& c : comparisons) {
-    Json jc = Json::object();
-    jc["family"] = c.family;
-    jc["range_tree_sweep_s"] = c.range_tree_sweep_s;
-    jc["grid_sweep_s"] = c.grid_sweep_s;
-    jc["speedup"] = c.speedup;
-    out.push_back(std::move(jc));
-  }
-  return out;
-}
-
 std::vector<EditStormOutcome> Suite::run_edit_storm() const {
   std::vector<EditStormOutcome> storms;
   for (const scenario::EditStormCase& c : scenario::edit_storm_cases(opts_.smoke)) {

@@ -11,7 +11,7 @@
 /// thread counts. `to_json` serializes the outcome under the report
 /// conventions of report.hpp, so `BENCH_results.json` can be committed and
 /// re-generated bit-identically (modulo the volatile context: `"run"`,
-/// `"scaling"`, `"backend"`, `threads_used`/`pool_policy`, and `*_s` timing
+/// `"scaling"`, `threads_used`/`pool_policy`, and `*_s` timing
 /// fields) from the same seeds. `run_scaling` sweeps thread counts over
 /// selected families and reports the speedup curve.
 
@@ -115,19 +115,6 @@ struct ScalingPoint {
 struct ScalingCurve {
   std::string family;
   std::vector<ScalingPoint> points;  ///< in `thread_counts` order
-};
-
-/// Range-tree-vs-grid clearance broadphase comparison for one family (see
-/// layout::ClearanceBackend): the family's boards routed once, then a cold
-/// whole-board build-insert-sweep timed per forced backend (the
-/// Session::board_clearance shape — every net in one index), min of
-/// repeats. Violations are bit-identical by construction (enforced by the
-/// clearance_backend tests); only the sweep cost differs.
-struct BackendComparison {
-  std::string family;
-  double range_tree_sweep_s = 0.0;  ///< backend forced to RangeTree
-  double grid_sweep_s = 0.0;        ///< backend forced to Grid
-  double speedup = 0.0;             ///< range_tree / grid
 };
 
 /// One `Session::apply` of an edit storm.
@@ -299,19 +286,6 @@ class Suite {
   /// `"scaling"` section for a result document (volatile by definition:
   /// strip_volatile removes the whole section).
   [[nodiscard]] static Json scaling_json(const std::vector<ScalingCurve>& curves);
-
-  /// Route `families` once each, then time a cold whole-board clearance
-  /// sweep per forced backend (RangeTree, then Grid) and report the
-  /// wall-clock win of the uniform-grid broadphase on the board-level
-  /// index. Violations are backend-invariant by construction (and
-  /// separately enforced by the clearance_backend equivalence tests).
-  [[nodiscard]] static std::vector<BackendComparison> run_backend_compare(
-      const SuiteOptions& base, const std::vector<std::string>& families);
-
-  /// `"backend"` section for a result document (volatile by definition:
-  /// strip_volatile removes the whole section).
-  [[nodiscard]] static Json backend_json(
-      const std::vector<BackendComparison>& comparisons);
 
   /// Replay the edit-storm catalogue (scenario::edit_storm_cases) on live
   /// Sessions sharing this Suite's pool and options: route the pristine

@@ -1,7 +1,8 @@
 #pragma once
 /// \file seg_grid.hpp
-/// Uniform segment-collider grid: the broadphase behind the Grid clearance
-/// backend and the scenario generator's placement-legality scan.
+/// Uniform segment-collider grid: the broadphase behind
+/// layout::ClearanceIndex and the scenario generator's placement-legality
+/// scan.
 ///
 /// A hash grid over square cells. Each entry is a segment plus a caller
 /// payload; an entry is registered in every cell its bounding box (short or

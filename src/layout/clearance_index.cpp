@@ -10,12 +10,12 @@
 namespace lmr::layout {
 
 ClearanceIndex::ClearanceIndex(const drc::DesignRules& rules, DrcCheckOptions opts,
-                               ClearanceBackend backend)
-    : rules_(rules), opts_(opts), backend_(backend) {}
+                               ClearanceBackend /*ignored*/)
+    : rules_(rules), opts_(opts) {}
 
 std::uint32_t ClearanceIndex::add_slot(double width, std::uint32_t net) {
   LMR_REQUIRE(std::isfinite(width) && width >= 0.0,
-              "slot width sizes the sampling pitch and query windows");
+              "slot width sizes the grid cells and query windows");
   Slot s;
   s.net = net;
   s.width = width;
@@ -29,127 +29,14 @@ std::uint32_t ClearanceIndex::add_slot(double width, std::uint32_t net) {
 
 void ClearanceIndex::insert(std::uint32_t slot, const Trace& trace) {
   LMR_REQUIRE(slot < slots_.size(), "insert() into an undeclared slot");
-  Slot& s = slots_[slot];
-  s.trace = &trace;
-  s.samples.clear();
-  s.sample_seg.clear();
+  slots_[slot].trace = &trace;
   ++slot_epoch_[slot];
-  // The grid backend stores whole segments straight from the trace at sweep
-  // time — no samples, making insert O(1). (If Auto later flips a tree-mode
-  // index to grid, the already-computed samples of earlier slots simply go
-  // unused.)
-  if (use_grid()) return;
-  // Sample points along every segment. A segment within distance d of
-  // another has a sample of it within d + pitch/2 of the closest approach,
-  // so the sweep's query window inflated by gap_max + pitch/2 (+ tolerance)
-  // never misses a candidate. The pitch trades tree size against window hit
-  // count; it depends only on the declared widths, so insertion order can
-  // never change the samples.
-  const double gap_max = rules_.gap + max_width_;
-  const double pitch = std::max(gap_max, rules_.protect);
-  const geom::Polyline& path = trace.path;
-  for (std::uint32_t seg_idx = 0; seg_idx < path.segment_count(); ++seg_idx) {
-    const geom::Segment seg = path.segment(seg_idx);
-    const int samples =
-        1 + std::max(1, static_cast<int>(std::ceil(seg.length() / pitch)));
-    for (int k = 0; k < samples; ++k) {
-      const double u = static_cast<double>(k) / (samples - 1);
-      s.samples.push_back(seg.a + (seg.b - seg.a) * u);
-      s.sample_seg.push_back(seg_idx);
-    }
-  }
 }
 
 void ClearanceIndex::remove(std::uint32_t slot) {
   LMR_REQUIRE(slot < slots_.size(), "remove() of an undeclared slot");
-  Slot& s = slots_.at(slot);
-  s.trace = nullptr;
-  s.samples.clear();
-  s.sample_seg.clear();
+  slots_[slot].trace = nullptr;
   ++slot_epoch_[slot];
-}
-
-void ClearanceIndex::refresh_cache() const {
-  // A slot is stale-in-main when its epoch moved since the main build (or
-  // the main build predates the slot). Stale inserted slots get overlay
-  // trees; stale removed slots just have their main entries skipped at
-  // query time. Once a quarter of the slots carry overlays the per-query
-  // overlay scans stop paying for themselves — compact into a fresh main
-  // tree instead.
-  bool full = cache_built_epoch_.size() != slots_.size();
-  if (!full) {
-    std::size_t overlaid = 0;
-    for (std::uint32_t t = 0; t < slots_.size(); ++t) {
-      if (slots_[t].trace != nullptr && slot_epoch_[t] != cache_built_epoch_[t]) {
-        ++overlaid;
-      }
-    }
-    full = overlaid * 4 >= slots_.size();
-  }
-
-  if (full) {
-    cache_segs_.clear();
-    std::vector<index::RangeTree2D::Entry> entries;
-    for (std::uint32_t t = 0; t < slots_.size(); ++t) {
-      const Slot& s = slots_[t];
-      if (s.trace == nullptr) continue;
-      const auto seg_base = static_cast<std::uint32_t>(cache_segs_.size());
-      for (std::uint32_t seg_idx = 0; seg_idx < s.trace->path.segment_count();
-           ++seg_idx) {
-        cache_segs_.push_back({t, seg_idx});
-      }
-      for (std::size_t k = 0; k < s.samples.size(); ++k) {
-        entries.push_back({s.samples[k], seg_base + s.sample_seg[k]});
-      }
-    }
-    cache_tree_ = index::RangeTree2D{std::move(entries)};
-    cache_built_epoch_.assign(slot_epoch_.begin(), slot_epoch_.end());
-    overlays_.clear();
-    return;
-  }
-
-  // Incremental: drop overlays for slots that emptied, refresh overlays for
-  // slots whose epoch moved again, add overlays for newly-stale slots.
-  std::erase_if(overlays_, [&](const Overlay& ov) {
-    return slots_[ov.slot].trace == nullptr;
-  });
-  for (std::uint32_t t = 0; t < slots_.size(); ++t) {
-    const Slot& s = slots_[t];
-    if (s.trace == nullptr || slot_epoch_[t] == cache_built_epoch_[t]) continue;
-    auto it = std::find_if(overlays_.begin(), overlays_.end(),
-                           [&](const Overlay& ov) { return ov.slot == t; });
-    if (it != overlays_.end() && it->epoch == slot_epoch_[t]) continue;
-    std::vector<index::RangeTree2D::Entry> entries;
-    entries.reserve(s.samples.size());
-    for (std::size_t k = 0; k < s.samples.size(); ++k) {
-      entries.push_back({s.samples[k], s.sample_seg[k]});
-    }
-    Overlay ov;
-    ov.slot = t;
-    ov.epoch = slot_epoch_[t];
-    ov.tree = index::RangeTree2D{std::move(entries)};
-    if (it != overlays_.end()) {
-      *it = std::move(ov);
-    } else {
-      overlays_.push_back(std::move(ov));
-    }
-  }
-  // Deterministic overlay scan order (erase/append above can permute).
-  std::sort(overlays_.begin(), overlays_.end(),
-            [](const Overlay& a, const Overlay& b) { return a.slot < b.slot; });
-
-  // Epoch agreement: every surviving overlay answers for an inserted slot at
-  // exactly that slot's current epoch — the property the stale-in-main skip
-  // in sweep() leans on.
-  LMR_ASSERT(cache_built_epoch_.size() == slots_.size(),
-             "main tree built-epoch vector covers every slot");
-  LMR_ASSERT(std::all_of(overlays_.begin(), overlays_.end(),
-                         [&](const Overlay& ov) {
-                           return ov.slot < slots_.size() &&
-                                  slots_[ov.slot].trace != nullptr &&
-                                  ov.epoch == slot_epoch_[ov.slot];
-                         }),
-             "every overlay is current for an inserted slot");
 }
 
 void ClearanceIndex::refresh_grid() const {
@@ -205,24 +92,16 @@ std::vector<Violation> ClearanceIndex::sweep() const {
     return result_;
   }
 
-  const bool grid = use_grid();
-  if (grid) {
-    refresh_grid();
-  } else {
-    refresh_cache();
-  }
+  refresh_grid();
 
   // A slot is dirty when it changed since the cached result or was declared
-  // after it. The grid path re-queries only dirty slots and keeps every
-  // cached violation between two clean slots (their geometry, and so the
-  // exact check, is unchanged); the tree path re-queries everything, so
-  // there every slot counts as dirty.
+  // after it. Only dirty slots re-query; every cached violation between two
+  // clean slots is kept (their geometry, and so the exact check, is
+  // unchanged).
   const std::size_t n = slots_.size();
   std::vector<char> dirty(n, 1);
-  if (grid) {
-    for (std::uint32_t t = 0; t < result_epochs_.size(); ++t) {
-      dirty[t] = slot_epoch_[t] != result_epochs_[t] ? 1 : 0;
-    }
+  for (std::uint32_t t = 0; t < result_epochs_.size(); ++t) {
+    dirty[t] = slot_epoch_[t] != result_epochs_[t] ? 1 : 0;
   }
   std::vector<Violation> kept;
   std::vector<std::uint64_t> kept_pairs;
@@ -261,72 +140,38 @@ std::vector<Violation> ClearanceIndex::sweep() const {
     }
   };
   std::vector<Candidate> candidates;
-  if (grid) {
-    // The grid stores whole segments, so the window needs no pitch slack:
-    // if two segments are closer than gap (<= gap_max), the other segment
-    // itself has a point inside this one's bbox inflated by gap_max.
-    //
-    // Only dirty slots query. Dirty slot t owns its pairs with every higher
-    // slot and with every clean lower slot (a dirty lower slot found the
-    // pair from its own side). While every slot below t is dirty, the
-    // payload floor prunes the lower slots wholesale; otherwise t takes
-    // every hit and filters — with all slots dirty this is the full sweep.
-    const double inflate = gap_max + opts_.tolerance + 1e-9;
-    bool all_dirty_below = true;
-    for (std::uint32_t t = 0; t < n; ++t) {
-      if (dirty[t] == 0) {
-        all_dirty_below = false;
-        continue;
-      }
-      const Slot& s = slots_[t];
-      if (s.trace == nullptr) continue;
-      const geom::Polyline& path = s.trace->path;
-      const std::uint64_t floor =
-          all_dirty_below ? (static_cast<std::uint64_t>(t) + 1) << 32 : 0;
-      for (std::uint32_t seg_idx = 0; seg_idx < path.segment_count(); ++seg_idx) {
-        const geom::Box window = path.segment(seg_idx).bbox().inflated(inflate);
-        grid_.visit_above(window, floor, [&](const index::SegGrid::Entry& e) {
-          const auto u = static_cast<std::uint32_t>(e.payload >> 32);
-          const auto seg_u = static_cast<std::uint32_t>(e.payload & 0xffffffffu);
-          if (u == t || (u < t && dirty[u] != 0)) return true;
-          if (slots_[u].net == s.net) return true;
-          candidates.push_back(u > t ? Candidate{t, u, seg_idx, seg_u}
-                                     : Candidate{u, t, seg_u, seg_idx});
-          return true;
-        });
-      }
+  // The grid stores whole segments: if two segments are closer than gap
+  // (<= gap_max), the other segment itself has a point inside this one's
+  // bbox inflated by gap_max.
+  //
+  // Only dirty slots query. Dirty slot t owns its pairs with every higher
+  // slot and with every clean lower slot (a dirty lower slot found the
+  // pair from its own side). While every slot below t is dirty, the
+  // payload floor prunes the lower slots wholesale; otherwise t takes
+  // every hit and filters — with all slots dirty this is the full sweep.
+  const double inflate = gap_max + opts_.tolerance + 1e-9;
+  bool all_dirty_below = true;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    if (dirty[t] == 0) {
+      all_dirty_below = false;
+      continue;
     }
-  } else {
-    // Each segment window-queries the main tree and every higher-slot
-    // overlay; the lower slot owns the pair, so it is found exactly once.
-    // Main-tree entries of stale slots are skipped — their overlay (current
-    // geometry) answers for them instead.
-    const double pitch = std::max(gap_max, rules_.protect);
-    const double inflate = gap_max + pitch / 2.0 + opts_.tolerance + 1e-9;
-    for (std::uint32_t t = 0; t < n; ++t) {
-      const Slot& s = slots_[t];
-      if (s.trace == nullptr) continue;
-      const geom::Polyline& path = s.trace->path;
-      for (std::uint32_t seg_idx = 0; seg_idx < path.segment_count(); ++seg_idx) {
-        const geom::Box window = path.segment(seg_idx).bbox().inflated(inflate);
-        cache_tree_.visit(window, [&](const index::RangeTree2D::Entry& e) {
-          const SegRef& other = cache_segs_[e.payload];
-          // Same slot or same net: not a cross check. The lower slot owns
-          // the pair (they see each other's windows symmetrically).
-          if (other.slot <= t) return true;
-          if (slot_epoch_[other.slot] != cache_built_epoch_[other.slot]) return true;
-          if (slots_[other.slot].net == s.net) return true;
-          candidates.push_back({t, other.slot, seg_idx, other.seg});
-          return true;
-        });
-        for (const Overlay& ov : overlays_) {
-          if (ov.slot <= t || slots_[ov.slot].net == s.net) continue;
-          ov.tree.visit(window, [&](const index::RangeTree2D::Entry& e) {
-            candidates.push_back({t, ov.slot, seg_idx, e.payload});
-            return true;
-          });
-        }
-      }
+    const Slot& s = slots_[t];
+    if (s.trace == nullptr) continue;
+    const geom::Polyline& path = s.trace->path;
+    const std::uint64_t floor =
+        all_dirty_below ? (static_cast<std::uint64_t>(t) + 1) << 32 : 0;
+    for (std::uint32_t seg_idx = 0; seg_idx < path.segment_count(); ++seg_idx) {
+      const geom::Box window = path.segment(seg_idx).bbox().inflated(inflate);
+      grid_.visit_above(window, floor, [&](const index::SegGrid::Entry& e) {
+        const auto u = static_cast<std::uint32_t>(e.payload >> 32);
+        const auto seg_u = static_cast<std::uint32_t>(e.payload & 0xffffffffu);
+        if (u == t || (u < t && dirty[u] != 0)) return true;
+        if (slots_[u].net == s.net) return true;
+        candidates.push_back(u > t ? Candidate{t, u, seg_idx, seg_u}
+                                   : Candidate{u, t, seg_u, seg_idx});
+        return true;
+      });
     }
   }
   std::sort(candidates.begin(), candidates.end());

@@ -4,16 +4,17 @@
 ///
 /// The naive TraceGap check compares every segment of every trace against
 /// every segment of every other trace — O(m² s²) for m traces of s segments,
-/// the dominant DRC cost on large matching groups. This sweep reuses the
-/// paper's 2-D range tree (§IV-D): sample points along every segment go into
-/// one tree, each segment queries a window inflated by the worst-case gap,
-/// and only the surviving candidate pairs pay an exact distance check.
+/// the dominant DRC cost on large matching groups. This sweep drops every
+/// segment into a uniform grid (index::SegGrid), each segment queries a
+/// window inflated by the worst-case gap, and only the surviving candidate
+/// pairs pay an exact distance check. (The paper uses a 2-D range tree over
+/// sample points for the same broadphase, §IV-D.)
 /// Output is the naive loop's violation set, deterministically ordered by
 /// (trace index, other trace index, segment, other segment).
 ///
 /// This is the one-shot convenience form of `layout::ClearanceIndex`
 /// (clearance_index.hpp), which the staged routing pipeline uses directly
-/// to overlap the sampling work with member extension.
+/// to overlap the indexing work with member extension.
 
 #include <cstdint>
 #include <vector>
@@ -33,9 +34,10 @@ struct SweepTrace {
 };
 
 /// All TraceGap violations between traces of different nets — the same set
-/// `DrcChecker::check_trace_pair` finds over every (i, j) input pair with
-/// `net_i < net_j`. Runs in O(S log² S + k) for S total segments instead of
-/// O(S²).
+/// `DrcChecker::check_trace_pair` finds over every input pair i < j with
+/// `net_i != net_j`, in that loop's order. Runs in O(S + k) for S total
+/// segments of cell-comparable length (plus the candidates' sort) instead
+/// of O(S²).
 [[nodiscard]] std::vector<Violation> cross_clearance_sweep(
     const std::vector<SweepTrace>& traces, const drc::DesignRules& rules,
     const DrcCheckOptions& opts = {});

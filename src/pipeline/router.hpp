@@ -125,10 +125,9 @@ struct RouterOptions {
   /// Prefix baked into this Router's fault site keys; the serving tier sets
   /// the board id so plans can target one board out of many.
   std::string fault_scope;
-  /// Broadphase behind every clearance sweep this Router runs (per-group
-  /// indices and, through Session, the board-wide index). `Auto` picks the
-  /// segment grid once an index holds ClearanceIndex::kGridAutoSlots slots.
-  /// Both backends are bit-identical in output; this only moves time.
+  /// Accepted and ignored: every clearance index runs on the segment grid.
+  /// Kept only because perfbench/src/replay.cpp:138 still passes it to the
+  /// three-argument layout::ClearanceIndex constructor.
   layout::ClearanceBackend clearance_backend = layout::ClearanceBackend::Auto;
 };
 

@@ -34,8 +34,7 @@ void explain(std::string* why, const std::string& msg) {
 Session::Session(drc::DesignRules rules, RouterOptions options, layout::Layout board)
     : router_(rules, std::move(options)),
       layout_(std::move(board)),
-      board_index_(router_.rules(), router_.options().drc,
-                   router_.options().clearance_backend) {}
+      board_index_(router_.rules(), router_.options().drc) {}
 
 Session::Session(drc::DesignRules rules, RouterOptions options, layout::Layout board,
                  BoardRoute prior)

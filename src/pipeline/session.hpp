@@ -154,13 +154,11 @@ class Session {
   /// Cross-member clearance violations over the whole board, from the
   /// session's incremental index: after an edit, only re-routed members
   /// were re-indexed, and back-to-back calls with no edit are served from
-  /// the index's violation cache. On the grid backend (under `Auto`, boards
-  /// of at least ClearanceIndex::kGridAutoSlots slots) the re-sweep after an
-  /// edit window-queries only the re-routed members' segments, plus one pass
-  /// over the slots and the cached violations; the range tree re-queries
-  /// every member. Slots are keyed in first-seen member order (group order
-  /// at `route()`, then order of appearance), so the violation order is
-  /// stable for the session's lifetime.
+  /// the index's violation cache. The re-sweep after an edit window-queries
+  /// only the re-routed members' segments, plus one pass over the slots and
+  /// the cached violations. Slots are keyed in first-seen member order
+  /// (group order at `route()`, then order of appearance), so the violation
+  /// order is stable for the session's lifetime.
   std::vector<layout::Violation> board_clearance();
 
   [[nodiscard]] const layout::Layout& layout() const { return layout_; }

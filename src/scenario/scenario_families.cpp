@@ -163,9 +163,8 @@ Family mega_board(bool smoke) {
   f.description =
       "backplane-scale board: 1k+ nets across many groups in a dense via "
       "field (obstacle-index + grid-broadphase workload)";
-  // 16 groups x 64 members = 1024 nets (full). 64 members puts each
-  // per-group clearance index exactly at ClearanceIndex::kGridAutoSlots, so
-  // the mega rows exercise the grid backend end to end; 12 vias per
+  // 16 groups x 64 members = 1024 nets (full): a 1k-slot board-wide
+  // clearance index, the scale the grid re-sweep is built for; 12 vias per
   // member band make 12k obstacles for the board obstacle index. A modest
   // target fraction keeps the per-member extension cheap — this family
   // scales breadth, not meander depth. The band is taller than the default 5.0: with a low target

@@ -88,29 +88,6 @@ TEST(StripVolatile, DrcOverlapSectionIsVolatile) {
   EXPECT_NE(kept.find("patterns"), nullptr);
 }
 
-TEST(StripVolatile, BackendSectionIsVolatile) {
-  // Range-tree-vs-grid comparisons are pure wall clock: which backend wins
-  // by how much is machine context, while the violations themselves are
-  // backend-invariant (enforced by the clearance_backend tests) — strip the
-  // whole section.
-  Json doc = Json::object();
-  doc["schema"] = "test";
-  Json cmp = Json::object();
-  cmp["family"] = "mega_board";
-  cmp["range_tree_sweep_s"] = 2.0;
-  cmp["grid_sweep_s"] = 1.0;
-  cmp["speedup"] = 2.0;
-  Json section = Json::array();
-  section.push_back(std::move(cmp));
-  doc["backend"] = std::move(section);
-  doc["groups"] = 7;
-
-  const Json stripped = strip_volatile(doc);
-  EXPECT_EQ(stripped.find("backend"), nullptr);
-  EXPECT_NE(stripped.find("schema"), nullptr);
-  EXPECT_NE(stripped.find("groups"), nullptr);
-}
-
 TEST(StripVolatile, ServiceSectionIsVolatile) {
   // The multi-board replay section is pure timing + scheduling counters
   // (edits/sec, queue depths, batch sizes): thread count and dispatch

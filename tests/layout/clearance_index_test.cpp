@@ -9,23 +9,41 @@
 #include <vector>
 
 #include "exec/task_pool.hpp"
-#include "geom/distance.hpp"
 #include "layout/clearance_sweep.hpp"
 #include "scenario/scenario_generator.hpp"
 
 namespace lmr::layout {
 namespace {
 
-using ViolationKey =
-    std::tuple<TraceId, TraceId, std::size_t, std::size_t, double, double>;
+using ViolationKey = std::tuple<ViolationKind, TraceId, TraceId, std::size_t,
+                                std::size_t, double, double, std::string>;
 
 std::vector<ViolationKey> keys(const std::vector<Violation>& vs) {
   std::vector<ViolationKey> out;
   for (const Violation& v : vs) {
-    out.emplace_back(v.trace, v.other_trace, v.index_a, v.index_b, v.measured,
-                     v.required);
+    out.emplace_back(v.kind, v.trace, v.other_trace, v.index_a, v.index_b, v.measured,
+                     v.required, v.note);
   }
   return out;  // NOT sorted: the index's output order is part of its contract
+}
+
+/// The independent reference every sweep here is diffed against: the naive
+/// all-pairs `DrcChecker::check_trace_pair` loop, run in slot order and
+/// skipping equal nets. It shares no broadphase with the index, and its
+/// (slot a, slot b, segment a, segment b) emission order is the order the
+/// index promises.
+std::vector<ViolationKey> naive(const std::vector<SweepTrace>& traces,
+                                const drc::DesignRules& rules) {
+  const DrcChecker checker;
+  std::vector<Violation> out;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    for (std::size_t j = i + 1; j < traces.size(); ++j) {
+      if (traces[i].net == traces[j].net) continue;
+      const auto v = checker.check_trace_pair(*traces[i].trace, *traces[j].trace, rules);
+      out.insert(out.end(), v.begin(), v.end());
+    }
+  }
+  return keys(out);
 }
 
 drc::DesignRules test_rules() {
@@ -69,35 +87,38 @@ DenseBoard dense_board(std::uint64_t seed, int groups = 2, int members = 5,
 }
 
 TEST(ClearanceIndex, MatchesOneShotSweepIncludingOrder) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+  // The index and its one-shot wrapper both reproduce the naive loop:
+  // values, note and order.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 11u, 12u, 13u}) {
     const DenseBoard b = dense_board(seed);
     const auto rules = b.rules;
-    const auto reference = cross_clearance_sweep(b.traces, rules);
+    const auto reference = naive(b.traces, rules);
 
     ClearanceIndex index(rules);
     for (const SweepTrace& st : b.traces) index.add_slot(st.trace->width, st.net);
     for (std::uint32_t i = 0; i < b.traces.size(); ++i) {
       index.insert(i, *b.traces[i].trace);
     }
-    const auto swept = index.sweep();
     EXPECT_FALSE(reference.empty()) << "seed " << seed << ": want real violations";
-    EXPECT_EQ(keys(swept), keys(reference)) << "seed " << seed;
+    EXPECT_EQ(keys(index.sweep()), reference) << "seed " << seed;
+    EXPECT_EQ(keys(cross_clearance_sweep(b.traces, rules)), reference)
+        << "seed " << seed << " (one-shot)";
   }
 }
 
 TEST(ClearanceIndex, InsertionOrderCannotChangeTheResult) {
   const DenseBoard b = dense_board(2);
   const auto rules = b.rules;
-  const auto reference = cross_clearance_sweep(b.traces, rules);
+  const auto reference = naive(b.traces, rules);
 
-  // Reverse insertion order: samples and candidate order key on slot ids
-  // fixed at declaration, so the output must be byte-for-byte the same.
+  // Reverse insertion order: candidate order keys on slot ids fixed at
+  // declaration, so the output must be byte-for-byte the same.
   ClearanceIndex index(rules);
   for (const SweepTrace& st : b.traces) index.add_slot(st.trace->width, st.net);
   for (std::uint32_t i = static_cast<std::uint32_t>(b.traces.size()); i-- > 0;) {
     index.insert(i, *b.traces[i].trace);
   }
-  EXPECT_EQ(keys(index.sweep()), keys(reference));
+  EXPECT_EQ(keys(index.sweep()), reference);
 }
 
 TEST(ClearanceIndex, ConcurrentInsertsMatchSerial) {
@@ -105,7 +126,7 @@ TEST(ClearanceIndex, ConcurrentInsertsMatchSerial) {
   // slots must be safely writable from concurrent tasks.
   const DenseBoard b = dense_board(3);
   const auto rules = b.rules;
-  const auto reference = cross_clearance_sweep(b.traces, rules);
+  const auto reference = naive(b.traces, rules);
 
   exec::TaskPool pool(3);
   for (int rep = 0; rep < 10; ++rep) {
@@ -114,7 +135,7 @@ TEST(ClearanceIndex, ConcurrentInsertsMatchSerial) {
     exec::parallel_for_dynamic(pool, b.traces.size(), 4, [&](std::size_t i) {
       index.insert(static_cast<std::uint32_t>(i), *b.traces[i].trace);
     });
-    ASSERT_EQ(keys(index.sweep()), keys(reference)) << "rep " << rep;
+    ASSERT_EQ(keys(index.sweep()), reference) << "rep " << rep;
   }
 }
 
@@ -165,18 +186,17 @@ TEST(ClearanceIndex, RemoveTakesSlotOutOfTheSweep) {
   for (std::uint32_t i = 0; i < b.traces.size(); ++i) {
     if (i != victim) remaining.push_back(b.traces[i]);
   }
-  EXPECT_EQ(keys(index.sweep()), keys(cross_clearance_sweep(remaining, b.rules)));
+  EXPECT_EQ(keys(index.sweep()), naive(remaining, b.rules));
 
   // ...and re-inserting restores the full result, in the original order.
   index.insert(victim, *b.traces[victim].trace);
-  EXPECT_EQ(keys(index.sweep()), keys(cross_clearance_sweep(b.traces, b.rules)));
+  EXPECT_EQ(keys(index.sweep()), naive(b.traces, b.rules));
 }
 
 TEST(ClearanceIndex, CachedSweepSurvivesEditStorms) {
   // Interleave moves (re-insert with shifted geometry), removes and
-  // restores; after every step the cached/overlay sweep must match a fresh
-  // one-shot sweep over the current traces. Enough steps to cross the
-  // quarter-dirty compaction threshold several times.
+  // restores; after every step the cached sweep must match the naive loop
+  // over the current traces.
   const DenseBoard b = dense_board(2);
   std::vector<Trace> shifted(b.traces.size());
   ClearanceIndex index(b.rules);
@@ -210,11 +230,10 @@ TEST(ClearanceIndex, CachedSweepSurvivesEditStorms) {
       if (removed[k]) continue;
       current.push_back({moved[k] ? &shifted[k] : b.traces[k].trace, b.traces[k].net});
     }
-    ASSERT_EQ(keys(index.sweep()), keys(cross_clearance_sweep(current, b.rules)))
-        << "step " << step;
+    const auto reference = naive(current, b.rules);
+    ASSERT_EQ(keys(index.sweep()), reference) << "step " << step;
     // Back-to-back sweep with no edit: served from the violation cache.
-    ASSERT_EQ(keys(index.sweep()), keys(cross_clearance_sweep(current, b.rules)))
-        << "step " << step << " (cached)";
+    ASSERT_EQ(keys(index.sweep()), reference) << "step " << step << " (cached)";
   }
 }
 
@@ -223,7 +242,7 @@ TEST(ClearanceIndex, MoveLeavesMovedFromEmptyAndReusable) {
   ClearanceIndex index(b.rules);
   for (const SweepTrace& st : b.traces) index.add_slot(st.trace->width, st.net);
   for (std::uint32_t i = 0; i < b.traces.size(); ++i) index.insert(i, *b.traces[i].trace);
-  const auto reference = keys(index.sweep());  // populate tree + result caches
+  const auto reference = keys(index.sweep());  // populate grid + result caches
   ASSERT_FALSE(reference.empty());
 
   // Move construction transfers slots and caches wholesale.
@@ -245,19 +264,16 @@ TEST(ClearanceIndex, MoveLeavesMovedFromEmptyAndReusable) {
 }
 
 /// Differential harness for the incremental sweep: drives one index through
-/// seeded churn and, after every step, checks it against the naive O(n^2)
-/// definition of the sweep — every pair of inserted slots on different nets,
-/// every segment pair, in slot order — written out here rather than borrowed
-/// from a sibling backend.
+/// seeded churn and, after every step, diffs it against the naive loop over
+/// the slots' live traces.
 class ChurnHarness {
  public:
-  ChurnHarness(DenseBoard board, ClearanceBackend backend)
-      : b_(std::move(board)), index_(b_.rules, {}, backend), moved_(b_.traces.size()) {}
+  explicit ChurnHarness(DenseBoard board)
+      : b_(std::move(board)), index_(b_.rules), moved_(b_.traces.size()) {}
 
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(b_.traces.size());
   }
-  [[nodiscard]] const ClearanceIndex& index() const { return index_; }
 
   void declare(std::uint32_t slot) {
     ASSERT_EQ(index_.add_slot(b_.traces[slot].trace->width, b_.traces[slot].net), slot);
@@ -281,7 +297,7 @@ class ChurnHarness {
 
   /// True when the live traces of slots `a` and `b` violate each other.
   [[nodiscard]] bool violate(std::uint32_t a, std::uint32_t b) const {
-    return !naive({a, b}).empty();
+    return !naive(live({a, b}), b_.rules).empty();
   }
 
   /// Sweep twice (the second is served from the cache) and diff both
@@ -289,31 +305,18 @@ class ChurnHarness {
   void check(const std::string& step) const {
     std::vector<std::uint32_t> all(live_.size());
     for (std::uint32_t t = 0; t < all.size(); ++t) all[t] = t;
-    const auto reference = naive(all);
+    const auto reference = naive(live(all), b_.rules);
     ASSERT_EQ(keys(index_.sweep()), reference) << step;
     ASSERT_EQ(keys(index_.sweep()), reference) << step << " (cached)";
   }
 
  private:
-  [[nodiscard]] std::vector<ViolationKey> naive(
+  /// The inserted ones of `slots`, in slot order, as sweep inputs.
+  [[nodiscard]] std::vector<SweepTrace> live(
       const std::vector<std::uint32_t>& slots) const {
-    const double tol = DrcCheckOptions{}.tolerance;
-    std::vector<ViolationKey> out;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      for (std::size_t j = i + 1; j < slots.size(); ++j) {
-        const Trace* a = live_[slots[i]];
-        const Trace* c = live_[slots[j]];
-        if (a == nullptr || c == nullptr) continue;
-        if (b_.traces[slots[i]].net == b_.traces[slots[j]].net) continue;
-        const double gap = b_.rules.gap + (a->width + c->width) / 2.0;
-        for (std::size_t sa = 0; sa < a->path.segment_count(); ++sa) {
-          for (std::size_t sc = 0; sc < c->path.segment_count(); ++sc) {
-            const double d =
-                geom::dist_segment_segment(a->path.segment(sa), c->path.segment(sc));
-            if (d + tol < gap) out.emplace_back(a->id, c->id, sa, sc, d, gap);
-          }
-        }
-      }
+    std::vector<SweepTrace> out;
+    for (const std::uint32_t t : slots) {
+      if (live_[t] != nullptr) out.push_back({live_[t], b_.traces[t].net});
     }
     return out;
   }
@@ -324,12 +327,11 @@ class ChurnHarness {
   std::vector<const Trace*> live_;   ///< per slot: inserted geometry or null
 };
 
-void run_churn(ClearanceBackend backend) {
-  // 72 slots: the first sweep runs over 60 declared slots (below the Auto
-  // threshold, so Auto starts on the range tree), the rest are declared
-  // after it and flip Auto to the grid with a tree-built cache in hand.
-  // Short corridors keep the naive reference's segment pairs affordable.
-  ChurnHarness h(dense_board(4, 9, 8, 30.0, 2), backend);
+TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReference) {
+  // 72 slots: the first sweep runs over 60 declared slots, the rest are
+  // declared after it, so they arrive dirty against a cached result. Short
+  // corridors keep the naive reference's segment pairs affordable.
+  ChurnHarness h(dense_board(4, 9, 8, 30.0, 2));
   const std::uint32_t n = h.size();
   ASSERT_GE(n, 64u);
   const std::uint32_t first = 60;
@@ -338,7 +340,6 @@ void run_churn(ClearanceBackend backend) {
   h.check("first sweep");
   for (std::uint32_t t = first; t < n; ++t) h.declare(t);
   for (std::uint32_t t = first; t < n; ++t) h.restore(t);
-  EXPECT_EQ(h.index().backend(), ClearanceBackend::Grid);
   h.check("slots declared after the first sweep");
   if (::testing::Test::HasFatalFailure()) return;
 
@@ -365,13 +366,20 @@ void run_churn(ClearanceBackend backend) {
   h.check("adjacent violating dirty pair");
   if (::testing::Test::HasFatalFailure()) return;
 
-  const std::uint32_t victim = n / 4;
-  h.remove(victim);
-  h.check("remove");
-  h.restore(victim);
-  h.check("reinsert");
-  h.shift(victim, -0.3, 0.4);
+  // Remove / reinsert every slot once, in a scattered order, then replace
+  // one trace's geometry with a copy pushed into its neighbour's band.
+  for (std::uint32_t step = 0; step < n; ++step) {
+    const std::uint32_t victim = (step * 5 + 3) % n;
+    h.remove(victim);
+    h.check("remove " + std::to_string(victim));
+    h.restore(victim);
+    h.check("reinsert " + std::to_string(victim));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  h.shift(n / 4, -0.3, 0.4);
   h.check("geometry replace");
+  h.shift(0, 0.0, 1.5);
+  h.check("geometry replace into the neighbour's band");
   if (::testing::Test::HasFatalFailure()) return;
 
   std::mt19937 rng(13);
@@ -406,14 +414,6 @@ void run_churn(ClearanceBackend backend) {
 
   for (std::uint32_t t = 0; t < n; ++t) h.shift(t, 0.05, 0.05);
   h.check("all slots dirty");
-}
-
-TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReferenceAuto) {
-  run_churn(ClearanceBackend::Auto);
-}
-
-TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReferenceGrid) {
-  run_churn(ClearanceBackend::Grid);
 }
 
 }  // namespace

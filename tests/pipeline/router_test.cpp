@@ -107,6 +107,21 @@ TEST(Router, Table1CaseEndToEnd) {
   }
 }
 
+TEST(Router, SerialGroupRuntimeExcludesPerNetDrc) {
+  // GroupReport::runtime_s is matching-phase time. On the serial path each
+  // member's per-net DRC runs before the next member extends; that work is
+  // billed to drc_overlap_runtime_s only, so the two are disjoint parts of
+  // the route's wall time.
+  const scenario::FamilyCase fc = scenario::family("large_group", false).cases.front();
+  scenario::Scenario sc = scenario::materialize(fc);
+  RouterOptions opts = table1_options();
+  opts.threads = 1;
+  const RouteResult res = Router(sc.rules, opts).route(sc.layout);
+  ASSERT_GT(res.nets.size(), 1u);
+  EXPECT_GT(res.drc_overlap_runtime_s, 0.0);
+  EXPECT_LE(res.group.runtime_s + res.drc_overlap_runtime_s, res.runtime_s);
+}
+
 TEST(Router, DifferentialCaseDiagnostics) {
   auto c = workload::table1_case(5);
   const Router router(c.rules, table1_options());

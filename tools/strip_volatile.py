@@ -3,9 +3,9 @@
 
 The single script-side twin of ``lmr::bench::strip_volatile``
 (src/bench_harness/report.cpp): removes the ``run`` object, the
-``scaling``, ``backend``, ``edit_storm``, ``service`` and ``fault_storm``
-sections, the parallelism context (``threads_used``, ``pool_policy``) and
-every ``*_s``-suffixed key. Two runs with the same seeds — at any thread
+``scaling``, ``edit_storm``, ``service`` and ``fault_storm`` sections,
+the parallelism context (``threads_used``, ``pool_policy``) and every
+``*_s``-suffixed key. Two runs with the same seeds — at any thread
 count — must strip to identical documents. The bench_harness unit tests diff this
 script's output against the C++ implementation byte for byte, so the two
 cannot drift apart silently.
@@ -21,7 +21,6 @@ import sys
 VOLATILE_KEYS = {
     "run",
     "scaling",
-    "backend",
     "edit_storm",
     "service",
     "fault_storm",
