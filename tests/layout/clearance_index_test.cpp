@@ -268,8 +268,8 @@ TEST(ClearanceIndex, MoveLeavesMovedFromEmptyAndReusable) {
 /// the slots' live traces.
 class ChurnHarness {
  public:
-  explicit ChurnHarness(DenseBoard board)
-      : b_(std::move(board)), index_(b_.rules), moved_(b_.traces.size()) {}
+  explicit ChurnHarness(DenseBoard board, ClearanceBackend backend = ClearanceBackend::Auto)
+      : b_(std::move(board)), index_(b_.rules, {}, backend), moved_(b_.traces.size()) {}
 
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(b_.traces.size());
@@ -327,11 +327,10 @@ class ChurnHarness {
   std::vector<const Trace*> live_;   ///< per slot: inserted geometry or null
 };
 
-TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReference) {
-  // 72 slots: the first sweep runs over 60 declared slots, the rest are
-  // declared after it, so they arrive dirty against a cached result. Short
-  // corridors keep the naive reference's segment pairs affordable.
-  ChurnHarness h(dense_board(4, 9, 8, 30.0, 2));
+/// Declares and inserts every slot of `h`: the first sweep runs over 60
+/// declared slots, the rest are declared after it, so they arrive dirty
+/// against a cached result.
+void fill(ChurnHarness& h) {
   const std::uint32_t n = h.size();
   ASSERT_GE(n, 64u);
   const std::uint32_t first = 60;
@@ -341,7 +340,19 @@ TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReference) {
   for (std::uint32_t t = first; t < n; ++t) h.declare(t);
   for (std::uint32_t t = first; t < n; ++t) h.restore(t);
   h.check("slots declared after the first sweep");
+}
+
+/// The 72-slot board both churn tests run on. Short corridors keep the naive
+/// reference's segment pairs affordable.
+DenseBoard churn_board() { return dense_board(4, 9, 8, 30.0, 2); }
+
+TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReferenceGrid) {
+  // Hand-picked dirty-slot shapes on the grid broadphase, built through the
+  // default constructor.
+  ChurnHarness h(churn_board());
+  fill(h);
   if (::testing::Test::HasFatalFailure()) return;
+  const std::uint32_t n = h.size();
 
   for (const std::uint32_t t : {0u, n / 2, n - 1}) {
     h.shift(t, 0.0, 0.3);
@@ -382,6 +393,19 @@ TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReference) {
   h.check("geometry replace into the neighbour's band");
   if (::testing::Test::HasFatalFailure()) return;
 
+  for (std::uint32_t t = 0; t < n; ++t) h.shift(t, 0.05, 0.05);
+  h.check("all slots dirty");
+}
+
+TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReferenceAuto) {
+  // Seeded random churn through the three-argument constructor with the
+  // accepted-and-ignored `ClearanceBackend::Auto`, the way
+  // perfbench/src/replay.cpp builds its index.
+  ChurnHarness h(churn_board(), ClearanceBackend::Auto);
+  fill(h);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::uint32_t n = h.size();
+
   std::mt19937 rng(13);
   const auto pick = [&](std::uint32_t bound) {
     return static_cast<std::uint32_t>(rng() % bound);
@@ -411,9 +435,6 @@ TEST(ClearanceIndex, IncrementalSweepMatchesNaiveReference) {
     h.check("churn step " + std::to_string(step));
     if (::testing::Test::HasFatalFailure()) return;
   }
-
-  for (std::uint32_t t = 0; t < n; ++t) h.shift(t, 0.05, 0.05);
-  h.check("all slots dirty");
 }
 
 }  // namespace
